@@ -89,6 +89,7 @@ impl Json {
     /// offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         };
@@ -307,6 +308,7 @@ impl fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -427,13 +429,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so this is
-                    // always valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of unescaped bytes up to the next
+                    // quote or backslash. Both are ASCII and never occur
+                    // inside a multibyte sequence, so the run ends on a char
+                    // boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -539,6 +543,40 @@ mod tests {
             Json::parse(r#""é🙂""#).unwrap(),
             Json::Str("é🙂".to_string())
         );
+        // Multibyte runs between escapes, and escaped surrogate pairs.
+        let doc = r#"{"k€y":"ab\"éé\\λ🙂\ud83d\ude42x\n中文\/end","":"\u00e9中"}"#;
+        let v = Json::parse(doc).unwrap();
+        assert_eq!(
+            v.get("k€y").and_then(Json::as_str),
+            Some("ab\"éé\\λ🙂🙂x\n中文/end")
+        );
+        assert_eq!(v.get("").and_then(Json::as_str), Some("é中"));
+        // A lone high surrogate and a bad low half stay errors.
+        assert!(Json::parse(r#""\ud83d""#).is_err());
+        assert!(Json::parse(r#""\ud83d\u0041""#).is_err());
+    }
+
+    #[test]
+    fn parses_multi_megabyte_document() {
+        // Big enough (~4 MB) that a parse quadratic in the document's size
+        // would not finish in test time.
+        let row = "héλ🙂 \"quoted\" \\ plain ascii text ".repeat(8);
+        let items: Vec<Json> = (0..12_000u64)
+            .map(|i| {
+                vec![("i", Json::from(i)), ("s", Json::from(row.as_str()))]
+                    .into_iter()
+                    .collect()
+            })
+            .collect();
+        let doc = Json::Arr(items).render();
+        assert!(doc.len() > 4_000_000, "document is {} bytes", doc.len());
+        let parsed = Json::parse(&doc).unwrap();
+        let arr = parsed.as_array().unwrap();
+        assert_eq!(arr.len(), 12_000);
+        assert_eq!(arr[11_999].get("i").and_then(Json::as_u64), Some(11_999));
+        assert!(arr
+            .iter()
+            .all(|o| o.get("s").and_then(Json::as_str) == Some(row.as_str())));
     }
 
     #[test]
