@@ -4,7 +4,7 @@
 //! code running under [`Sim::run`](crate::Sim::run)); calling it elsewhere
 //! panics with a descriptive message.
 
-use sherlock_trace::{AccessClass, OpRef, Time};
+use sherlock_trace::{AccessClass, MethodKind, OpId, OpKind, OpRef, Time};
 
 use crate::kernel;
 
@@ -87,27 +87,53 @@ pub fn alloc_object() -> u64 {
 /// should prefer the typed primitives in [`crate::prims`]; this is the
 /// low-level hook they are built on.
 pub fn trace_op(op: &OpRef, object: u64, access: AccessClass) {
-    kernel::kernel_trace(op, object, access);
+    kernel::kernel_trace(op.intern(), object, access);
+}
+
+/// Traces the begin and end events of `class::method` around `body`,
+/// classifying the begin event as `access`.
+fn traced_call<R>(
+    kind: MethodKind,
+    class: &str,
+    method: &str,
+    object: u64,
+    access: AccessClass,
+    body: impl FnOnce() -> R,
+) -> R {
+    let begin = OpId::intern(OpKind::MethodBegin(kind), class, method);
+    kernel::kernel_trace(begin, object, access);
+    let r = body();
+    let end = OpId::intern(OpKind::MethodEnd(kind), class, method);
+    kernel::kernel_trace(end, object, AccessClass::None);
+    r
 }
 
 /// Traces entry and exit of an *application* method around `body`
 /// (paper §4.1: "For application methods, SherLock instruments entry and
 /// exit points of their implementations").
 pub fn app_method<R>(class: &str, method: &str, object: u64, body: impl FnOnce() -> R) -> R {
-    trace_op(&OpRef::app_begin(class, method), object, AccessClass::None);
-    let r = body();
-    trace_op(&OpRef::app_end(class, method), object, AccessClass::None);
-    r
+    traced_call(
+        MethodKind::App,
+        class,
+        method,
+        object,
+        AccessClass::None,
+        body,
+    )
 }
 
 /// Traces an opaque *library* call around `body` (paper §4.1: "For library
 /// or system API calls, SherLock instruments immediately before and after
 /// the call sites").
 pub fn lib_call<R>(class: &str, method: &str, object: u64, body: impl FnOnce() -> R) -> R {
-    trace_op(&OpRef::lib_begin(class, method), object, AccessClass::None);
-    let r = body();
-    trace_op(&OpRef::lib_end(class, method), object, AccessClass::None);
-    r
+    traced_call(
+        MethodKind::Lib,
+        class,
+        method,
+        object,
+        AccessClass::None,
+        body,
+    )
 }
 
 /// Like [`lib_call`] but classifies the call site as a read- or write-like
@@ -120,8 +146,5 @@ pub fn lib_call_classified<R>(
     access: AccessClass,
     body: impl FnOnce() -> R,
 ) -> R {
-    kernel::kernel_trace(&OpRef::lib_begin(class, method), object, access);
-    let r = body();
-    kernel::kernel_trace(&OpRef::lib_end(class, method), object, AccessClass::None);
-    r
+    traced_call(MethodKind::Lib, class, method, object, access, body)
 }

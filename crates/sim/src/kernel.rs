@@ -30,7 +30,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use sherlock_obs::counter;
-use sherlock_trace::{AccessClass, OpRef, ThreadId, Time, Trace, TraceBuilder};
+use sherlock_trace::{AccessClass, IdMap, OpId, OpRef, ThreadId, Time, Trace, TraceBuilder};
 
 use crate::config::{SimBackend, SimConfig};
 use crate::fiber;
@@ -91,10 +91,28 @@ pub(crate) struct KState {
     threads: Vec<ThreadSlot>,
     next_object: u64,
     steps: u64,
+    context_switches: u64,
+    events_traced: u64,
+    /// How this run traces each operation it has met, keyed by op.
+    plans: IdMap<OpId, OpPlan>,
     panics: Vec<PanicReport>,
     live_nondaemon: usize,
     /// Resolved once per run; `spawn_on` uses it to pick the transport.
     fibers: bool,
+}
+
+/// What the Observer does with every dynamic instance of one static
+/// operation in this run. Decided from the run's [`SimConfig`] the first time
+/// the operation is traced.
+#[derive(Clone, Copy)]
+struct OpPlan {
+    /// A method the instrumentation filter hides.
+    skipped: bool,
+    /// A method event whose access class is dropped because
+    /// `classify_unsafe_apis` is off.
+    unclassified: bool,
+    /// The delay plan's `(duration, probability)` entry.
+    delay: Option<(Time, f64)>,
 }
 
 pub(crate) struct Kernel {
@@ -297,6 +315,9 @@ impl Sim {
                 threads: Vec::new(),
                 next_object: 1,
                 steps: 0,
+                context_switches: 0,
+                events_traced: 0,
+                plans: IdMap::default(),
                 panics: Vec::new(),
                 live_nondaemon: 0,
                 fibers,
@@ -318,9 +339,11 @@ impl Sim {
         let mut outcome = Outcome::Completed;
         let mut last_nondaemon_activity = Time::ZERO;
         let mut last_run: Option<u32> = None;
+        // Reused across steps: the scheduler allocates nothing per step.
+        let mut runnable: Vec<u32> = Vec::new();
         loop {
             enum Act {
-                Run(u32),
+                Run(u32, Via),
                 AdvanceTo(Time),
                 Done,
                 Deadlock(Vec<ThreadId>),
@@ -333,71 +356,58 @@ impl Sim {
                 } else if st.steps >= st.config.max_steps {
                     Act::StepLimit
                 } else {
+                    // One pass wakes due sleepers and collects the runnable
+                    // set and the earliest remaining wake-up.
                     let clock = st.clock;
-                    for slot in &mut st.threads {
+                    let mut nondaemon_live = false;
+                    let mut wake: Option<Time> = None;
+                    runnable.clear();
+                    for (i, slot) in st.threads.iter_mut().enumerate() {
                         if let ThreadState::Sleeping(until) = slot.state {
                             if until <= clock {
                                 slot.state = ThreadState::Runnable;
+                            } else {
+                                wake = Some(wake.map_or(until, |w| w.min(until)));
                             }
                         }
+                        match slot.state {
+                            ThreadState::Runnable => {
+                                runnable.push(i as u32);
+                                nondaemon_live |= !slot.daemon;
+                            }
+                            ThreadState::Sleeping(_) => nondaemon_live |= !slot.daemon,
+                            ThreadState::Blocked | ThreadState::Finished => {}
+                        }
                     }
-                    let nondaemon_live = st.threads.iter().any(|s| {
-                        !s.daemon
-                            && matches!(s.state, ThreadState::Runnable | ThreadState::Sleeping(_))
-                    });
                     if nondaemon_live {
                         last_nondaemon_activity = clock;
                     }
-                    let blocked_nondaemons = || {
-                        st.threads
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| !s.daemon && s.state == ThreadState::Blocked)
-                            .map(|(i, _)| ThreadId(i as u32))
-                            .collect::<Vec<_>>()
-                    };
                     if !nondaemon_live
                         && clock.saturating_sub(last_nondaemon_activity) > st.config.idle_timeout
                     {
-                        Act::Deadlock(blocked_nondaemons())
-                    } else {
-                        let runnable: Vec<u32> = st
-                            .threads
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| s.state == ThreadState::Runnable)
-                            .map(|(i, _)| i as u32)
-                            .collect();
-                        let wake = st
-                            .threads
-                            .iter()
-                            .filter_map(|s| match s.state {
-                                ThreadState::Sleeping(u) => Some(u),
-                                _ => None,
-                            })
-                            .min();
-                        if runnable.is_empty() {
-                            match wake {
-                                Some(t) => Act::AdvanceTo(t),
-                                None => Act::Deadlock(blocked_nondaemons()),
-                            }
-                        } else {
-                            // Split borrows: the strategy and the kernel RNG
-                            // live side by side in KState.
-                            let st = &mut *st;
-                            let idx = st.strategy.pick(&runnable, st.steps, &mut st.rng);
-                            Act::Run(runnable[idx])
+                        Act::Deadlock(blocked_nondaemons(&st))
+                    } else if runnable.is_empty() {
+                        match wake {
+                            Some(t) => Act::AdvanceTo(t),
+                            None => Act::Deadlock(blocked_nondaemons(&st)),
                         }
+                    } else {
+                        // Split borrows: the strategy and the kernel RNG
+                        // live side by side in KState.
+                        let st = &mut *st;
+                        let idx = st.strategy.pick(&runnable, st.steps, &mut st.rng);
+                        let tid = runnable[idx];
+                        if last_run != Some(tid) {
+                            st.context_switches += 1;
+                            last_run = Some(tid);
+                        }
+                        Act::Run(tid, take_transport(st, tid))
                     }
                 }
             };
             match act {
-                Act::Run(tid) => {
-                    if last_run != Some(tid) {
-                        counter!("kernel.context_switches").add(1);
-                        last_run = Some(tid);
-                    }
-                    dispatch(&kernel, &sched_rx, fiber_ctx.as_ref(), tid, GoMsg::Run);
+                Act::Run(tid, via) => {
+                    dispatch(&kernel, &sched_rx, fiber_ctx.as_ref(), tid, via, GoMsg::Run);
                 }
                 Act::AdvanceTo(t) => {
                     let mut st = kernel.state.lock().expect("kernel state poisoned");
@@ -439,6 +449,8 @@ impl Sim {
             .into_inner()
             .expect("kernel state poisoned");
         counter!("kernel.steps").add(st.steps);
+        counter!("kernel.context_switches").add(st.context_switches);
+        counter!("kernel.events_traced").add(st.events_traced);
         counter!("kernel.runs").add(1);
         if fibers {
             counter!("kernel.fiber_runs").add(1);
@@ -454,6 +466,31 @@ impl Sim {
     }
 }
 
+/// Non-daemon threads that are blocked, for a deadlock report.
+fn blocked_nondaemons(st: &KState) -> Vec<ThreadId> {
+    st.threads
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| !s.daemon && s.state == ThreadState::Blocked)
+        .map(|(i, _)| ThreadId(i as u32))
+        .collect()
+}
+
+/// How the go token reaches the thread picked to run next.
+enum Via {
+    Os(Sender<GoMsg>),
+    Fiber(fiber::Fiber),
+}
+
+/// Takes what [`dispatch`] needs to resume `tid`; a fiber leaves its slot
+/// until it hands the token back.
+fn take_transport(st: &mut KState, tid: u32) -> Via {
+    match &mut st.threads[tid as usize].transport {
+        Transport::Os { go, .. } => Via::Os(go.clone()),
+        Transport::Fiber(f) => Via::Fiber(f.take().expect("fiber resumed while running")),
+    }
+}
+
 /// Delivers one go token to `tid` and waits for the thread to hand it back
 /// (by yielding or finishing). The kernel lock is *not* held across the
 /// handoff — the target immediately re-enters kernel services.
@@ -462,19 +499,9 @@ fn dispatch(
     sched_rx: &Receiver<u32>,
     fiber_ctx: Option<&Rc<Ctx>>,
     tid: u32,
+    via: Via,
     msg: GoMsg,
 ) {
-    enum Via {
-        Os(Sender<GoMsg>),
-        Fiber(fiber::Fiber),
-    }
-    let via = {
-        let mut st = kernel.state.lock().expect("kernel state poisoned");
-        match &mut st.threads[tid as usize].transport {
-            Transport::Os { go, .. } => Via::Os(go.clone()),
-            Transport::Fiber(f) => Via::Fiber(f.take().expect("fiber resumed while running")),
-        }
-    };
     match via {
         Via::Os(go) => {
             go.send(msg).expect("sim thread channel closed");
@@ -500,14 +527,14 @@ fn abort_all(kernel: &Arc<Kernel>, sched_rx: &Receiver<u32>, fiber_ctx: Option<&
         // has fully unwound (a destructor that yields is re-aborted).
         loop {
             let next = {
-                let st = kernel.state.lock().expect("kernel state poisoned");
+                let mut st = kernel.state.lock().expect("kernel state poisoned");
                 st.threads
                     .iter()
                     .position(|s| s.state != ThreadState::Finished)
-                    .map(|i| i as u32)
+                    .map(|i| (i as u32, take_transport(&mut st, i as u32)))
             };
-            let Some(tid) = next else { break };
-            dispatch(kernel, sched_rx, fiber_ctx, tid, GoMsg::Abort);
+            let Some((tid, via)) = next else { break };
+            dispatch(kernel, sched_rx, fiber_ctx, tid, via, GoMsg::Abort);
         }
         return;
     }
@@ -834,94 +861,85 @@ pub(crate) fn kernel_join(target: u32) {
     })
 }
 
+impl KState {
+    /// This run's plan for `op`, decided on first sight and cached.
+    fn plan(&mut self, op: OpId) -> OpPlan {
+        match self.plans.get(&op) {
+            Some(&plan) => plan,
+            None => self.decide_plan(op),
+        }
+    }
+
+    /// Kept out of line so the per-step path stays small on fiber stacks.
+    #[cold]
+    #[inline(never)]
+    fn decide_plan(&mut self, op: OpId) -> OpPlan {
+        let instrument = &self.config.instrument;
+        let (method, skipped) = op.with_resolved(|r| match r {
+            OpRef::MethodBegin { method, .. } | OpRef::MethodEnd { method, .. } => {
+                (true, instrument.skips(method))
+            }
+            OpRef::FieldRead { .. } | OpRef::FieldWrite { .. } => (false, false),
+        });
+        let plan = OpPlan {
+            skipped,
+            unclassified: method && !instrument.classify_unsafe_apis,
+            delay: self.config.delay_plan.delay_entry(op),
+        };
+        self.plans.insert(op, plan);
+        plan
+    }
+}
+
 /// The Observer hook: applies the instrumentation filter and delay plan,
-/// advances the clock, emits the event, and yields.
+/// advances the clock, emits the event, and yields. Without a delay this
+/// takes the kernel lock once.
 ///
 /// Skipped methods still execute and consume a step — they are merely
 /// invisible to the trace, exactly like methods the paper's heuristics
 /// mistakenly skipped.
-pub(crate) fn kernel_trace(op: &OpRef, object: u64, access: AccessClass) {
+pub(crate) fn kernel_trace(op: OpId, object: u64, access: AccessClass) {
     with_ctx(|ctx| {
-        let (skipped, delay, op_id) = {
-            let st = ctx.kernel.state.lock().expect("kernel state poisoned");
-            let skipped = match op {
-                OpRef::MethodBegin { method, .. } | OpRef::MethodEnd { method, .. } => {
-                    st.config.instrument.skips(method)
-                }
-                _ => false,
-            };
-            if skipped {
-                (true, None, None)
-            } else {
-                let id = op.intern();
-                (false, st.config.delay_plan.delay_entry(id), Some(id))
-            }
-        };
-
-        if skipped {
-            kernel_step_ctx(ctx);
+        let tid = ctx.tid.get();
+        let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
+        let plan = st.plan(op);
+        if plan.skipped {
+            st.advance_clock();
+            drop(st);
+            ctx.yield_to_scheduler();
             return;
         }
-        let op_id = op_id.expect("non-skipped op interned");
-
-        let access = {
-            let st = ctx.kernel.state.lock().expect("kernel state poisoned");
-            if matches!(op, OpRef::MethodBegin { .. } | OpRef::MethodEnd { .. })
-                && !st.config.instrument.classify_unsafe_apis
-            {
-                AccessClass::None
-            } else {
-                access
-            }
-        };
-
-        let delay_start = if let Some((d, probability)) = delay {
-            let start = {
-                let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
-                let fire = st.rng.gen_bool(probability);
-                if fire {
-                    st.advance_clock();
-                    let start = st.clock;
-                    let until = st.clock.saturating_add(d);
-                    st.threads[ctx.tid.get() as usize].state = ThreadState::Sleeping(until);
-                    Some(start)
-                } else {
-                    None
-                }
-            };
-            if start.is_some() {
-                ctx.yield_to_scheduler();
-            }
-            start
+        let access = if plan.unclassified {
+            AccessClass::None
         } else {
-            None
+            access
         };
-
-        {
-            let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
-            st.advance_clock();
-            let t = st.clock;
-            // The delay record's end is the delayed operation's own
-            // timestamp, so window refinement bounds of the form
-            // `[a, rec.end]` keep the delayed release inside the window.
-            if let Some(start) = delay_start {
-                counter!("perturber.delays_injected").add(1);
-                sherlock_obs::histogram!("perturber.delay_ns")
-                    .observe((t.saturating_sub(start)).as_nanos());
-                st.trace.push_delay(ctx.tid.get(), op_id, start, t);
+        let mut delay_start = None;
+        if let Some((d, probability)) = plan.delay {
+            if st.rng.gen_bool(probability) {
+                st.advance_clock();
+                delay_start = Some(st.clock);
+                let until = st.clock.saturating_add(d);
+                st.threads[tid as usize].state = ThreadState::Sleeping(until);
+                drop(st);
+                ctx.yield_to_scheduler();
+                st = ctx.kernel.state.lock().expect("kernel state poisoned");
             }
-            counter!("kernel.events_traced").add(1);
-            st.trace
-                .push_classified(t, ctx.tid.get(), op_id, object, access);
         }
+        st.advance_clock();
+        let t = st.clock;
+        // The delay record's end is the delayed operation's own timestamp,
+        // so window refinement bounds of the form `[a, rec.end]` keep the
+        // delayed release inside the window.
+        if let Some(start) = delay_start {
+            counter!("perturber.delays_injected").add(1);
+            sherlock_obs::histogram!("perturber.delay_ns")
+                .observe((t.saturating_sub(start)).as_nanos());
+            st.trace.push_delay(tid, op, start, t);
+        }
+        st.events_traced += 1;
+        st.trace.push_classified(t, tid, op, object, access);
+        drop(st);
         ctx.yield_to_scheduler();
     })
-}
-
-fn kernel_step_ctx(ctx: &Ctx) {
-    {
-        let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
-        st.advance_clock();
-    }
-    ctx.yield_to_scheduler();
 }

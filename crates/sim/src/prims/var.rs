@@ -1,8 +1,8 @@
 use std::sync::{Arc, Mutex};
 
-use sherlock_trace::{AccessClass, OpRef, Time};
+use sherlock_trace::{AccessClass, OpId, OpKind, Time};
 
-use crate::api;
+use crate::{api, kernel};
 
 /// A traced heap field: every read and write emits a `FieldRead`/`FieldWrite`
 /// event, making the variable eligible both as a conflicting-access endpoint
@@ -17,20 +17,21 @@ pub struct TracedVar<T> {
 }
 
 struct VarInner<T> {
-    class: String,
-    field: String,
+    read: OpId,
+    write: OpId,
     object: u64,
     value: Mutex<T>,
 }
 
 impl<T: Copy + Send + 'static> TracedVar<T> {
-    /// Creates a traced field on a fresh object. Must be called from inside a
-    /// simulated thread.
-    pub fn new(class: impl Into<String>, field: impl Into<String>, initial: T) -> Self {
+    /// Creates a traced field on a fresh object, interning its read and
+    /// write operations once. Must be called from inside a simulated thread.
+    pub fn new(class: impl AsRef<str>, field: impl AsRef<str>, initial: T) -> Self {
+        let (class, field) = (class.as_ref(), field.as_ref());
         TracedVar {
             inner: Arc::new(VarInner {
-                class: class.into(),
-                field: field.into(),
+                read: OpId::intern(OpKind::FieldRead, class, field),
+                write: OpId::intern(OpKind::FieldWrite, class, field),
                 object: api::alloc_object(),
                 value: Mutex::new(initial),
             }),
@@ -39,21 +40,13 @@ impl<T: Copy + Send + 'static> TracedVar<T> {
 
     /// Reads the value, tracing a `FieldRead`.
     pub fn get(&self) -> T {
-        api::trace_op(
-            &OpRef::field_read(&self.inner.class, &self.inner.field),
-            self.inner.object,
-            AccessClass::Read,
-        );
+        kernel::kernel_trace(self.inner.read, self.inner.object, AccessClass::Read);
         *self.inner.value.lock().expect("traced var poisoned")
     }
 
     /// Writes the value, tracing a `FieldWrite`.
     pub fn set(&self, v: T) {
-        api::trace_op(
-            &OpRef::field_write(&self.inner.class, &self.inner.field),
-            self.inner.object,
-            AccessClass::Write,
-        );
+        kernel::kernel_trace(self.inner.write, self.inner.object, AccessClass::Write);
         *self.inner.value.lock().expect("traced var poisoned") = v;
     }
 
@@ -84,12 +77,12 @@ impl<T: Copy + Send + 'static> TracedVar<T> {
     }
 
     /// The interned op id of this field's read operation.
-    pub fn read_op(&self) -> sherlock_trace::OpId {
-        OpRef::field_read(&self.inner.class, &self.inner.field).intern()
+    pub fn read_op(&self) -> OpId {
+        self.inner.read
     }
 
     /// The interned op id of this field's write operation.
-    pub fn write_op(&self) -> sherlock_trace::OpId {
-        OpRef::field_write(&self.inner.class, &self.inner.field).intern()
+    pub fn write_op(&self) -> OpId {
+        self.inner.write
     }
 }

@@ -9,7 +9,7 @@ use sherlock_sim::prims::{
     SimThread, StaticCtor, Task, ThreadPool, TracedVar, UnsafeList,
 };
 use sherlock_sim::{api, DelayPlan, Outcome, Sim, SimConfig};
-use sherlock_trace::{OpRef, Time, Trace};
+use sherlock_trace::{AccessClass, OpRef, Time, Trace};
 
 fn run_seeded(seed: u64, f: impl FnOnce() + Send + 'static) -> sherlock_sim::RunReport {
     Sim::new(SimConfig::with_seed(seed)).run(f)
@@ -203,6 +203,74 @@ fn instrument_filter_hides_methods_from_trace() {
     );
     assert_eq!(op_count(&r.trace, &OpRef::app_begin("Visible", "Run")), 1);
     assert_eq!(op_count(&r.trace, &OpRef::app_end("Visible", "Run")), 1);
+}
+
+#[test]
+fn skip_decisions_do_not_leak_between_runs() {
+    // The kernel caches each op's skip decision for the length of one run;
+    // a second run in the same process with another filter must decide anew.
+    let traced = |skip: &[&str]| {
+        let mut cfg = SimConfig::with_seed(12);
+        cfg.instrument.skip_method_substrings = skip.iter().map(|s| s.to_string()).collect();
+        Sim::new(cfg).run(|| api::app_method("PerRun", "Refresh", 1, || {}))
+    };
+    let hidden = traced(&["Refresh"]);
+    let recorded = traced(&[]);
+    assert!(hidden.is_clean() && recorded.is_clean());
+    assert_eq!(
+        op_count(&hidden.trace, &OpRef::app_begin("PerRun", "Refresh")),
+        0
+    );
+    assert_eq!(
+        op_count(&recorded.trace, &OpRef::app_begin("PerRun", "Refresh")),
+        1
+    );
+    assert_eq!(
+        op_count(&recorded.trace, &OpRef::app_end("PerRun", "Refresh")),
+        1
+    );
+    // A hidden method still costs its scheduling steps.
+    assert_eq!(hidden.steps, recorded.steps);
+}
+
+#[test]
+fn unclassified_lib_calls_record_no_access() {
+    let run = |classify: bool| {
+        let mut cfg = SimConfig::with_seed(13);
+        cfg.instrument.classify_unsafe_apis = classify;
+        Sim::new(cfg).run(|| {
+            api::lib_call_classified("Unclassified.List", "Add", 3, AccessClass::Write, || {});
+        })
+    };
+    let begin = OpRef::lib_begin("Unclassified.List", "Add").intern();
+    let access_of = |r: &sherlock_sim::RunReport| {
+        r.trace
+            .events()
+            .iter()
+            .find(|e| e.op == begin)
+            .map(|e| e.access)
+    };
+    assert_eq!(access_of(&run(true)), Some(AccessClass::Write));
+    assert_eq!(access_of(&run(false)), Some(AccessClass::None));
+}
+
+#[test]
+fn delay_plan_records_delays_on_method_events() {
+    let begin = OpRef::lib_begin("DelayedLib", "Signal").intern();
+    let mut cfg = SimConfig::with_seed(14);
+    cfg.delay_plan = DelayPlan::before_all([begin], Time::from_millis(50));
+    let r = Sim::new(cfg).run(|| {
+        api::lib_call("DelayedLib", "Signal", 4, || {});
+        api::lib_call("DelayedLib", "Other", 4, || {});
+    });
+    assert!(r.is_clean());
+    assert_eq!(r.trace.delays().len(), 1);
+    let d = &r.trace.delays()[0];
+    assert_eq!(d.op, begin);
+    assert!(d.end.saturating_sub(d.start) >= Time::from_millis(50));
+    // The record ends at the delayed event's own timestamp.
+    let ev = r.trace.events().iter().find(|e| e.op == begin).unwrap();
+    assert_eq!(ev.time, d.end);
 }
 
 // --- TracedVar ------------------------------------------------------------

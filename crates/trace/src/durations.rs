@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use crate::event::Trace;
-use crate::op::{OpId, OpRef};
+use crate::op::{IdMap, OpId, OpRef};
 use crate::time::Time;
 
 /// Duration samples for one method, keyed by the *begin* operation id (the
@@ -23,30 +23,41 @@ pub type DurationMap = HashMap<OpId, Vec<Time>>;
 /// Unmatched begins (method still running at trace end) and unmatched ends
 /// (trace started mid-method; cannot happen with our simulator) are ignored.
 pub fn extract(trace: &Trace) -> DurationMap {
-    let mut begin_of_end: HashMap<OpId, OpId> = HashMap::new();
+    /// What an operation means for duration matching, resolved once per
+    /// distinct operation of the trace.
+    #[derive(Clone, Copy)]
+    enum Role {
+        Begin,
+        /// A method end, with the id of its matching begin.
+        End(OpId),
+        Other,
+    }
+    let mut roles: IdMap<OpId, Role> = IdMap::default();
     let mut open: HashMap<(u32, OpId), Vec<Time>> = HashMap::new();
     let mut out: DurationMap = HashMap::new();
 
     for ev in trace.events() {
-        match ev.op.resolve() {
-            OpRef::MethodBegin { .. } => {
+        let role = *roles.entry(ev.op).or_insert_with(|| match ev.op.resolve() {
+            OpRef::MethodBegin { .. } => Role::Begin,
+            end @ OpRef::MethodEnd { .. } => Role::End(
+                end.method_counterpart()
+                    .expect("MethodEnd has a counterpart")
+                    .intern(),
+            ),
+            _ => Role::Other,
+        });
+        match role {
+            Role::Begin => {
                 open.entry((ev.thread.0, ev.op)).or_default().push(ev.time);
             }
-            OpRef::MethodEnd { .. } => {
-                let begin = *begin_of_end.entry(ev.op).or_insert_with(|| {
-                    ev.op
-                        .resolve()
-                        .method_counterpart()
-                        .expect("MethodEnd has a counterpart")
-                        .intern()
-                });
+            Role::End(begin) => {
                 if let Some(stack) = open.get_mut(&(ev.thread.0, begin)) {
                     if let Some(start) = stack.pop() {
                         out.entry(begin).or_default().push(ev.time - start);
                     }
                 }
             }
-            _ => {}
+            Role::Other => {}
         }
     }
     out

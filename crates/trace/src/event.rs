@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::op::{OpId, OpRef};
+use crate::op::{Fingerprints, OpId, OpKind};
 use crate::time::Time;
 
 /// Identifier of a simulated thread within one run.
@@ -134,12 +134,31 @@ impl Trace {
         self.events.iter().map(|e| e.op).collect()
     }
 
-    /// A 64-bit FNV-1a fingerprint of the schedule this trace records.
+    /// A 64-bit fingerprint of the schedule this trace records.
     ///
-    /// Operations are hashed by their *resolved* static names rather than
-    /// their raw [`OpId`]s: interning order is process-global and depends on
-    /// which workload ran first, so raw ids would make equal schedules hash
-    /// differently across processes and across parallel explorer workers.
+    /// Operations enter the hash through their *name* fingerprints rather
+    /// than their raw [`OpId`]s: interning order is process-global and
+    /// depends on which workload ran first, so raw ids would make equal
+    /// schedules hash differently across processes and across parallel
+    /// explorer workers. An operation's name fingerprint is FNV-1a over the
+    /// bytes of its kind tag ([`OpKind::tag`](crate::OpKind::tag): `r`, `w`,
+    /// `a` or `l`) followed by its `Display` form, e.g.
+    /// `"aWorker::Run-Begin"`; the tag keeps App and Lib method events with
+    /// the same printed name apart. It is computed once per operation, when
+    /// the operation is interned.
+    ///
+    /// Starting from `0xcbf29ce484222325`, the hash folds three words per
+    /// event, in trace order:
+    ///
+    /// 1. `thread | access << 32 | 0x45 << 56` (`access` as `None = 0`,
+    ///    `Read = 1`, `Write = 2`),
+    /// 2. the object id,
+    /// 3. the operation's name fingerprint,
+    ///
+    /// then two words per delay record: `thread | 0x44 << 56` and the
+    /// delayed operation's name fingerprint. Folding word `w` into `h` is
+    /// `h = (h ^ w) * 0x9e3779b97f4a7c15; h ^= h >> 29` (wrapping).
+    ///
     /// Timestamps are deliberately excluded — per-operation cost jitter is a
     /// function of the seed, so including the clock would make every seed
     /// look like a new schedule. Two traces hash equally iff they interleave
@@ -147,50 +166,25 @@ impl Trace {
     /// (with the same delay placements) — the identity the schedule Explorer
     /// deduplicates on.
     pub fn stable_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
-        let mut names: std::collections::HashMap<OpId, String> = std::collections::HashMap::new();
-        let mut op_key = |op: OpId| -> String {
-            names
-                .entry(op)
-                .or_insert_with(|| {
-                    let r = op.resolve();
-                    // Display alone cannot distinguish App from Lib method
-                    // events; prefix a kind discriminant.
-                    let kind = match r {
-                        OpRef::FieldRead { .. } => 'r',
-                        OpRef::FieldWrite { .. } => 'w',
-                        OpRef::MethodBegin { kind, .. } | OpRef::MethodEnd { kind, .. } => {
-                            match kind {
-                                crate::op::MethodKind::App => 'a',
-                                crate::op::MethodKind::Lib => 'l',
-                            }
-                        }
-                    };
-                    format!("{kind}{r}")
-                })
-                .clone()
-        };
+        const EVENT_TAG: u64 = 0x45 << 56;
+        const DELAY_TAG: u64 = 0x44 << 56;
+        fn fold(h: u64, w: u64) -> u64 {
+            let h = (h ^ w).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            h ^ (h >> 29)
+        }
+        let names = Fingerprints::lock();
+        let mut h = 0xcbf2_9ce4_8422_2325;
         for ev in &self.events {
-            mix(&ev.thread.0.to_le_bytes());
-            mix(&ev.object.0.to_le_bytes());
-            mix(&[ev.access as u8]);
-            let k = op_key(ev.op);
-            mix(k.as_bytes());
-            mix(&[0xff]);
+            h = fold(
+                h,
+                u64::from(ev.thread.0) | (ev.access as u64) << 32 | EVENT_TAG,
+            );
+            h = fold(h, ev.object.0);
+            h = fold(h, names.of(ev.op));
         }
         for d in &self.delays {
-            mix(&d.thread.0.to_le_bytes());
-            let k = op_key(d.op);
-            mix(k.as_bytes());
-            mix(&[0xfe]);
+            h = fold(h, u64::from(d.thread.0) | DELAY_TAG);
+            h = fold(h, names.of(d.op));
         }
         h
     }
@@ -220,9 +214,9 @@ impl TraceBuilder {
     ///
     /// Panics if `time` is earlier than the previous event's timestamp.
     pub fn push(&mut self, time: Time, thread: u32, op: OpId, object: u64) {
-        let access = match op.resolve() {
-            OpRef::FieldRead { .. } => AccessClass::Read,
-            OpRef::FieldWrite { .. } => AccessClass::Write,
+        let access = match op.kind() {
+            OpKind::FieldRead => AccessClass::Read,
+            OpKind::FieldWrite => AccessClass::Write,
             _ => AccessClass::None,
         };
         self.push_classified(time, thread, op, object, access);
@@ -277,6 +271,7 @@ impl TraceBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::op::OpRef;
 
     fn op() -> OpId {
         OpRef::field_write("Evt", "x").intern()
@@ -376,6 +371,23 @@ mod tests {
         tb.push(Time::from_nanos(2), 1, r, 1);
         tb.push_delay(0, w, Time::ZERO, Time::from_nanos(1));
         assert_ne!(tb.finish().stable_hash(), a.stable_hash());
+    }
+
+    #[test]
+    fn stable_hash_value_is_pinned() {
+        // Schedule digests in archived results depend on these values: a
+        // change to the definition must show up here first.
+        let mut tb = TraceBuilder::new();
+        let w = OpRef::field_write("Pin", "x").intern();
+        tb.push(Time::from_nanos(1), 0, w, 1);
+        tb.push(
+            Time::from_nanos(2),
+            1,
+            OpRef::lib_begin("Pin", "Enter").intern(),
+            2,
+        );
+        tb.push_delay(0, w, Time::ZERO, Time::from_nanos(1));
+        assert_eq!(tb.finish().stable_hash(), 0x29d2_099d_c572_1519);
     }
 
     #[test]

@@ -40,5 +40,5 @@ pub mod json;
 pub mod windows;
 
 pub use event::{AccessClass, DelayRecord, Event, ObjectId, ThreadId, Trace, TraceBuilder};
-pub use op::{MethodKind, OpId, OpRef};
+pub use op::{IdHasher, IdMap, MethodKind, OpId, OpKind, OpRef};
 pub use time::Time;

@@ -1,6 +1,7 @@
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock};
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::{OnceLock, RwLock, RwLockReadGuard};
 
 /// Whether a method belongs to the application under analysis or to a
 /// library/framework whose internals SherLock cannot see.
@@ -17,6 +18,58 @@ pub enum MethodKind {
     App,
     /// A library or framework API traced at its call sites.
     Lib,
+}
+
+/// The shape of a static operation without its names: which of the four
+/// [`OpRef`] variants it is, and for methods whether it is App or Lib.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum OpKind {
+    /// A heap-field read.
+    FieldRead,
+    /// A heap-field write.
+    FieldWrite,
+    /// A method entry or library call site (before the call).
+    MethodBegin(MethodKind),
+    /// A method exit or library call site (after the call).
+    MethodEnd(MethodKind),
+}
+
+impl OpKind {
+    /// One-letter discriminant prefixed to an operation's printed name in
+    /// its fingerprint: `r`ead, `w`rite, `a`pp or `l`ib method. The printed
+    /// name alone cannot tell App from Lib method events.
+    pub fn tag(self) -> char {
+        match self {
+            OpKind::FieldRead => 'r',
+            OpKind::FieldWrite => 'w',
+            OpKind::MethodBegin(MethodKind::App) | OpKind::MethodEnd(MethodKind::App) => 'a',
+            OpKind::MethodBegin(MethodKind::Lib) | OpKind::MethodEnd(MethodKind::Lib) => 'l',
+        }
+    }
+
+    /// The [`OpRef`] of this kind with the given names.
+    fn with_names(self, class: String, member: String) -> OpRef {
+        match self {
+            OpKind::FieldRead => OpRef::FieldRead {
+                class,
+                field: member,
+            },
+            OpKind::FieldWrite => OpRef::FieldWrite {
+                class,
+                field: member,
+            },
+            OpKind::MethodBegin(kind) => OpRef::MethodBegin {
+                class,
+                method: member,
+                kind,
+            },
+            OpKind::MethodEnd(kind) => OpRef::MethodEnd {
+                class,
+                method: member,
+                kind,
+            },
+        }
+    }
 }
 
 /// Static identity of a traceable operation.
@@ -126,6 +179,16 @@ impl OpRef {
         }
     }
 
+    /// The shape of this operation without its names.
+    pub fn kind(&self) -> OpKind {
+        match self {
+            OpRef::FieldRead { .. } => OpKind::FieldRead,
+            OpRef::FieldWrite { .. } => OpKind::FieldWrite,
+            OpRef::MethodBegin { kind, .. } => OpKind::MethodBegin(*kind),
+            OpRef::MethodEnd { kind, .. } => OpKind::MethodEnd(*kind),
+        }
+    }
+
     /// Whether this operation is a field access (as opposed to a method
     /// entry/exit).
     pub fn is_field(&self) -> bool {
@@ -201,7 +264,7 @@ impl OpRef {
     /// Interns this operation in the process-wide registry, returning its
     /// compact id. Interning the same `OpRef` twice yields the same id.
     pub fn intern(&self) -> OpId {
-        registry().intern(self)
+        OpId::intern(self.kind(), self.class(), self.member())
     }
 }
 
@@ -225,6 +288,19 @@ impl fmt::Display for OpRef {
 pub struct OpId(u32);
 
 impl OpId {
+    /// Interns the operation `kind` of `class::member` without building an
+    /// [`OpRef`]: a name seen before is found by borrowing `class` and
+    /// `member`, and only a new name is copied into the registry.
+    ///
+    /// ```
+    /// use sherlock_trace::{MethodKind, OpId, OpKind, OpRef};
+    /// let id = OpId::intern(OpKind::MethodBegin(MethodKind::Lib), "Monitor", "Enter");
+    /// assert_eq!(id, OpRef::lib_begin("Monitor", "Enter").intern());
+    /// ```
+    pub fn intern(kind: OpKind, class: &str, member: &str) -> OpId {
+        registry().intern(kind, class, member)
+    }
+
     /// The raw index of this id in the registry.
     pub fn index(self) -> usize {
         self.0 as usize
@@ -232,7 +308,19 @@ impl OpId {
 
     /// Looks up the full static name of this operation.
     pub fn resolve(self) -> OpRef {
-        registry().resolve(self)
+        self.with_resolved(OpRef::clone)
+    }
+
+    /// The shape of this operation, without copying its names.
+    pub fn kind(self) -> OpKind {
+        self.with_resolved(OpRef::kind)
+    }
+
+    /// Calls `f` on this operation's static name, borrowed from the
+    /// registry. `f` runs under the registry lock, so it must not intern or
+    /// resolve operations itself.
+    pub fn with_resolved<R>(self, f: impl FnOnce(&OpRef) -> R) -> R {
+        f(&registry().read().slots[self.index()].op)
     }
 }
 
@@ -249,38 +337,168 @@ impl fmt::Display for OpId {
 }
 
 struct Registry {
-    inner: Mutex<RegistryInner>,
+    inner: RwLock<RegistryInner>,
 }
 
+/// One interned operation.
+struct Slot {
+    op: OpRef,
+    /// [`name_fingerprint`] of `op`, computed once at interning.
+    fingerprint: u64,
+    /// Next slot whose lookup key hashes like this one's, or [`NO_SLOT`].
+    next: u32,
+}
+
+const NO_SLOT: u32 = u32::MAX;
+
+/// The registry stores each name once, in `slots`. `index` maps a lookup
+/// hash of `(kind, class, member)` to the newest slot with that hash; slots
+/// sharing a hash are chained through [`Slot::next`]. A lookup therefore
+/// borrows the caller's names and allocates nothing on a hit.
 #[derive(Default)]
 struct RegistryInner {
-    by_ref: HashMap<OpRef, OpId>,
-    by_id: Vec<OpRef>,
+    index: IdMap<u64, u32>,
+    slots: Vec<Slot>,
+}
+
+impl RegistryInner {
+    fn find(&self, key: u64, kind: OpKind, class: &str, member: &str) -> Option<OpId> {
+        let mut at = *self.index.get(&key)?;
+        while at != NO_SLOT {
+            let slot = &self.slots[at as usize];
+            if slot.op.kind() == kind && slot.op.class() == class && slot.op.member() == member {
+                return Some(OpId(at));
+            }
+            at = slot.next;
+        }
+        None
+    }
 }
 
 impl Registry {
-    fn intern(&self, op: &OpRef) -> OpId {
-        let mut inner = self.inner.lock().expect("op registry poisoned");
-        if let Some(&id) = inner.by_ref.get(op) {
-            return id;
-        }
-        let id = OpId(u32::try_from(inner.by_id.len()).expect("op registry overflow"));
-        inner.by_id.push(op.clone());
-        inner.by_ref.insert(op.clone(), id);
-        id
+    fn intern(&self, kind: OpKind, class: &str, member: &str) -> OpId {
+        let key = lookup_key(kind, class, member);
+        // The read guard must drop before `insert` takes the write lock.
+        let found = self.read().find(key, kind, class, member);
+        found.unwrap_or_else(|| self.insert(key, kind, class, member))
     }
 
-    fn resolve(&self, id: OpId) -> OpRef {
-        let inner = self.inner.lock().expect("op registry poisoned");
-        inner.by_id[id.index()].clone()
+    /// Adds a name the read-locked lookup missed (unless another thread
+    /// added it first). Out of line: it runs once per distinct operation.
+    #[cold]
+    #[inline(never)]
+    fn insert(&self, key: u64, kind: OpKind, class: &str, member: &str) -> OpId {
+        let mut inner = self.inner.write().expect("op registry poisoned");
+        if let Some(id) = inner.find(key, kind, class, member) {
+            return id;
+        }
+        let id = u32::try_from(inner.slots.len())
+            .ok()
+            .filter(|&i| i != NO_SLOT)
+            .expect("op registry overflow");
+        let op = kind.with_names(class.to_owned(), member.to_owned());
+        let fingerprint = name_fingerprint(&op);
+        let next = inner.index.insert(key, id).unwrap_or(NO_SLOT);
+        inner.slots.push(Slot {
+            op,
+            fingerprint,
+            next,
+        });
+        OpId(id)
+    }
+
+    fn read(&self) -> RwLockReadGuard<'_, RegistryInner> {
+        self.inner.read().expect("op registry poisoned")
     }
 }
 
 fn registry() -> &'static Registry {
     static REGISTRY: OnceLock<Registry> = OnceLock::new();
     REGISTRY.get_or_init(|| Registry {
-        inner: Mutex::new(RegistryInner::default()),
+        inner: RwLock::new(RegistryInner::default()),
     })
+}
+
+/// The stable 64-bit fingerprint of an operation's name: FNV-1a over the
+/// UTF-8 bytes of the kind tag ([`OpKind::tag`]) followed by the
+/// [`Display`](fmt::Display) form, e.g. `"rRead-Buffer::ready"` or
+/// `"lMonitor::Enter-Begin"`. It depends on the name alone, never on
+/// interning order, so it agrees across processes.
+fn name_fingerprint(op: &OpRef) -> u64 {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    format!("{}{op}", op.kind().tag())
+        .bytes()
+        .fold(FNV_OFFSET, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+        })
+}
+
+/// In-process lookup hash of an operation's parts, folded a word at a time.
+/// Only [`RegistryInner::index`] uses it; it is not stable and never leaves
+/// the process.
+fn lookup_key(kind: OpKind, class: &str, member: &str) -> u64 {
+    let mut h = IdHasher::default();
+    h.write_u32(u32::from(kind.tag()));
+    for s in [class, member] {
+        let mut words = s.as_bytes().chunks_exact(8);
+        for w in &mut words {
+            h.write_u64(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let mut tail = [0u8; 8];
+        tail[..words.remainder().len()].copy_from_slice(words.remainder());
+        h.write_u64(u64::from_le_bytes(tail));
+        h.write_u64(s.len() as u64);
+    }
+    h.finish()
+}
+
+/// Multiplicative (FxHash-style) hasher for maps keyed by [`OpId`]s and
+/// other small integers, looked up on per-event and per-step paths where
+/// SipHash would dominate. Not flooding-resistant: use it only for keys the
+/// program makes itself.
+#[derive(Default)]
+pub struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.add(u64::from(b)));
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Read access to every interned operation's fingerprint under one registry
+/// lock, for hashing a whole trace (see [`crate::Trace::stable_hash`]).
+pub(crate) struct Fingerprints(RwLockReadGuard<'static, RegistryInner>);
+
+impl Fingerprints {
+    /// Takes the registry lock until the value is dropped. Nothing may intern
+    /// while it is held on the same thread.
+    pub(crate) fn lock() -> Self {
+        Fingerprints(registry().read())
+    }
+
+    /// The fingerprint of `op`'s name.
+    pub(crate) fn of(&self, op: OpId) -> u64 {
+        self.0.slots[op.index()].fingerprint
+    }
 }
 
 #[cfg(test)]
@@ -293,6 +511,67 @@ mod tests {
         let b = OpRef::field_read("C", "f").intern();
         assert_eq!(a, b);
         assert_eq!(a.resolve(), OpRef::field_read("C", "f"));
+    }
+
+    #[test]
+    fn borrowed_lookup_matches_owned_interning() {
+        let id = OpId::intern(OpKind::FieldWrite, "Borrow", "f");
+        assert_eq!(id, OpRef::field_write("Borrow", "f").intern());
+        assert_eq!(id.kind(), OpKind::FieldWrite);
+        // The same names under another kind are another op.
+        assert_ne!(id, OpId::intern(OpKind::FieldRead, "Borrow", "f"));
+        let app = OpId::intern(OpKind::MethodBegin(MethodKind::App), "Borrow", "f");
+        let lib = OpId::intern(OpKind::MethodBegin(MethodKind::Lib), "Borrow", "f");
+        assert_ne!(app, lib);
+        assert_eq!(lib.resolve(), OpRef::lib_begin("Borrow", "f"));
+    }
+
+    #[test]
+    fn lookup_key_collisions_chain() {
+        // A private registry whose two names share one lookup key.
+        let reg = Registry {
+            inner: RwLock::new(RegistryInner::default()),
+        };
+        let a = reg.insert(7, OpKind::FieldRead, "Chain", "a");
+        let b = reg.insert(7, OpKind::FieldRead, "Chain", "b");
+        assert_ne!(a, b);
+        let inner = reg.read();
+        assert_eq!(inner.find(7, OpKind::FieldRead, "Chain", "a"), Some(a));
+        assert_eq!(inner.find(7, OpKind::FieldRead, "Chain", "b"), Some(b));
+        assert_eq!(inner.find(7, OpKind::FieldRead, "Chain", "c"), None);
+        assert_eq!(inner.find(8, OpKind::FieldRead, "Chain", "a"), None);
+        drop(inner);
+        // Re-inserting a present name returns its id.
+        assert_eq!(reg.insert(7, OpKind::FieldRead, "Chain", "a"), a);
+    }
+
+    #[test]
+    fn concurrent_interning_agrees() {
+        let names: Vec<String> = (0..200).map(|i| format!("m{i}")).collect();
+        let ids: Vec<Vec<OpId>> = std::thread::scope(|s| {
+            let workers: Vec<_> = [1, 3, 7, 9]
+                .into_iter()
+                .map(|stride| {
+                    let names = &names;
+                    s.spawn(move || {
+                        // Each worker walks the names in its own order (strides
+                        // coprime to 200 visit every name).
+                        let mut out = vec![OpRef::field_read("C", "f").intern(); names.len()];
+                        for k in 0..names.len() {
+                            let i = (k * stride) % names.len();
+                            out[i] =
+                                OpId::intern(OpKind::MethodEnd(MethodKind::App), "Conc", &names[i]);
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(ids.windows(2).all(|w| w[0] == w[1]));
+        for (name, id) in names.iter().zip(&ids[0]) {
+            assert_eq!(id.resolve(), OpRef::app_end("Conc", name.as_str()));
+        }
     }
 
     #[test]

@@ -14,10 +14,9 @@
 //! locations (15 in the paper).
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::event::{AccessClass, Event, ObjectId, ThreadId, Trace};
-use crate::op::{OpId, OpRef};
+use crate::op::{IdMap, OpId, OpRef};
 use crate::time::Time;
 
 /// Parameters of window extraction.
@@ -96,34 +95,6 @@ impl Window {
         !self.release_capable || !self.acquire_capable
     }
 }
-
-/// Multiplicative (FxHash-style) hasher for the small integer keys the scan
-/// looks up once or twice per access event, where SipHash would dominate.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl IdHasher {
-    fn add(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        bytes.iter().for_each(|&b| self.add(u64::from(b)));
-    }
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Location id of library call sites: thread-unsafe library calls conflict
 /// per object, so the object id alone identifies the location.
