@@ -79,9 +79,12 @@ impl Observations {
     }
 
     /// Merges one run's method durations.
-    pub fn add_durations(&mut self, durations: DurationMap) {
-        for (op, mut samples) in durations {
-            self.durations.entry(op).or_default().append(&mut samples);
+    pub fn add_durations(&mut self, durations: &DurationMap) {
+        for (op, samples) in durations {
+            self.durations
+                .entry(*op)
+                .or_default()
+                .extend_from_slice(samples);
         }
     }
 
@@ -400,7 +403,7 @@ mod tests {
         obs.exclude_release((a, b), c);
         let mut d = DurationMap::new();
         d.insert(m, vec![Time::from_micros(3), Time::from_micros(1)]);
-        obs.add_durations(d);
+        obs.add_durations(&d);
         obs.finish_run();
         obs.finish_run();
 
@@ -430,10 +433,10 @@ mod tests {
         let mut obs = Observations::new();
         let mut d1 = DurationMap::new();
         d1.insert(m, vec![Time::from_micros(1)]);
-        obs.add_durations(d1);
+        obs.add_durations(&d1);
         let mut d2 = DurationMap::new();
         d2.insert(m, vec![Time::from_micros(9)]);
-        obs.add_durations(d2);
+        obs.add_durations(&d2);
         obs.finish_run();
         obs.finish_run();
         assert_eq!(obs.durations()[&m].len(), 2);

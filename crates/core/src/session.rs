@@ -58,7 +58,6 @@ pub struct RoundStats {
 
 /// Everything absorbing one trace contributes, cached by full content hash
 /// so re-absorbing an identical trace skips extraction and refinement.
-#[derive(Clone)]
 struct AbsorbedTrace {
     /// Refined windows (delay-propagation already applied).
     windows: Vec<Window>,
@@ -227,29 +226,32 @@ impl Session {
             cap_per_pair: self.config.cap_per_pair,
         };
 
+        // A miss is inserted into the memo once and applied by reference;
+        // only a disabled memo keeps the extraction locally.
         let key = content_hash(trace);
-        let mut memo_hit = true;
-        let absorbed = match self.memo.get(&key) {
-            Some(hit) => {
-                obs::counter!("session.window_memo.hits").incr();
-                hit.clone()
-            }
-            None => {
-                memo_hit = false;
-                obs::counter!("session.window_memo.misses").incr();
-                let a = Self::extract(trace, &wcfg);
-                if self.memo_capacity > 0 {
-                    if self.memo.len() >= self.memo_capacity {
-                        if let Some(old) = self.memo_order.pop_front() {
-                            self.memo.remove(&old);
-                            obs::counter!("session.window_memo.evictions").incr();
-                        }
+        let memo_hit = self.memo.contains_key(&key);
+        let mut unmemoized = None;
+        if memo_hit {
+            obs::counter!("session.window_memo.hits").incr();
+        } else {
+            obs::counter!("session.window_memo.misses").incr();
+            let a = Self::extract(trace, &wcfg);
+            if self.memo_capacity > 0 {
+                if self.memo.len() >= self.memo_capacity {
+                    if let Some(old) = self.memo_order.pop_front() {
+                        self.memo.remove(&old);
+                        obs::counter!("session.window_memo.evictions").incr();
                     }
-                    self.memo.insert(key, a.clone());
-                    self.memo_order.push_back(key);
                 }
-                a
+                self.memo.insert(key, a);
+                self.memo_order.push_back(key);
+            } else {
+                unmemoized = Some(a);
             }
+        }
+        let absorbed = match &unmemoized {
+            Some(a) => a,
+            None => &self.memo[&key],
         };
 
         let mut stats = RoundStats::default();
@@ -269,7 +271,7 @@ impl Session {
             }
             self.observations.add_window(w);
         }
-        self.observations.add_durations(absorbed.durations);
+        self.observations.add_durations(&absorbed.durations);
         self.observations.finish_run();
         self.traces_absorbed += 1;
         self.dirty = true;

@@ -62,22 +62,39 @@ impl LinExpr {
     /// zero-coefficient terms removed.
     pub fn coefficients(&self) -> Vec<(VarId, f64)> {
         let mut terms = self.terms.clone();
-        terms.sort_by_key(|&(v, _)| v);
-        let mut merged: Vec<(VarId, f64)> = Vec::with_capacity(terms.len());
-        for (v, c) in terms {
-            match merged.last_mut() {
-                Some((lv, lc)) if *lv == v => *lc += c,
-                _ => merged.push((v, c)),
-            }
-        }
-        merged.retain(|&(_, c)| c != 0.0);
-        merged
+        merge_terms(&mut terms);
+        terms
+    }
+
+    /// [`coefficients`](Self::coefficients) over raw variable indices.
+    pub(crate) fn index_coefficients(&self) -> Vec<(usize, f64)> {
+        let mut terms: Vec<(usize, f64)> = self.terms.iter().map(|&(v, c)| (v.0, c)).collect();
+        merge_terms(&mut terms);
+        terms
     }
 
     /// Whether the expression references no variables (after merging).
     pub fn is_constant(&self) -> bool {
         self.coefficients().is_empty()
     }
+}
+
+/// Sorts terms by variable (stably, so equal variables keep insertion
+/// order), sums each run in that order, and drops zero sums, all in place.
+fn merge_terms<K: Ord + Copy>(terms: &mut Vec<(K, f64)>) {
+    terms.sort_by_key(|&(v, _)| v);
+    let mut out = 0usize;
+    for i in 0..terms.len() {
+        let (v, c) = terms[i];
+        if out > 0 && terms[out - 1].0 == v {
+            terms[out - 1].1 += c;
+        } else {
+            terms[out] = (v, c);
+            out += 1;
+        }
+    }
+    terms.truncate(out);
+    terms.retain(|&(_, c)| c != 0.0);
 }
 
 impl From<VarId> for LinExpr {

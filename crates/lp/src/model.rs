@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::basis::{Basis, VarStatus};
+use crate::basis::{fingerprint, fold, Basis, VarStatus, SIG_SEED};
 use crate::expr::LinExpr;
 use crate::simplex::{dense, Problem, Relation, Row, SimplexError};
 use crate::{presolve, revised};
@@ -32,33 +32,22 @@ impl fmt::Display for LpError {
 
 impl std::error::Error for LpError {}
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_mix(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Stable per-row signatures: FNV-1a over each presolved row's
-/// `(variable name, coefficient)` pairs, relation, and rhs. Rows have no
-/// names, so this is the identity the warm-start [`Basis`] keys slack
-/// statuses by; a row that survives a model rebuild unchanged hashes to the
-/// same tag and carries its tight/slack state across.
-fn row_tags(pre: &presolve::Presolved) -> Vec<u64> {
+/// Stable per-row signatures: each presolved row's `(name fingerprint,
+/// coefficient bits)` pairs, relation, and rhs folded word by word. Rows
+/// have no names, so this is the identity the warm-start [`Basis`] keys
+/// slack statuses by; a row that survives a model rebuild unchanged hashes
+/// to the same tag and carries its tight/slack state across.
+fn row_tags(model: &Model, pre: &presolve::Presolved) -> Vec<u64> {
     pre.rows
         .iter()
         .map(|row| {
-            let mut h = FNV_OFFSET;
+            let mut h = SIG_SEED;
             for &(j, c) in &row.coeffs {
-                h = fnv_mix(h, pre.names[j].as_bytes());
-                h = fnv_mix(h, &c.to_bits().to_le_bytes());
+                h = fold(h, model.vars[pre.orig[j]].fp);
+                h = fold(h, c.to_bits());
             }
-            h = fnv_mix(h, &[row.relation as u8]);
-            fnv_mix(h, &row.rhs.to_bits().to_le_bytes())
+            h = fold(h, row.relation as u64);
+            fold(h, row.rhs.to_bits())
         })
         .collect()
 }
@@ -84,6 +73,8 @@ impl From<SimplexError> for LpError {
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Var {
     pub(crate) name: String,
+    /// [`fingerprint`] of `name`, the variable's warm-start identity.
+    pub(crate) fp: u64,
     pub(crate) lo: f64,
     pub(crate) hi: f64,
 }
@@ -141,8 +132,10 @@ impl Model {
         assert!(!lo.is_nan() && !hi.is_nan(), "NaN variable bound");
         assert!(lo <= hi, "empty variable domain");
         let id = VarId(self.vars.len());
+        let name = name.into();
         self.vars.push(Var {
-            name: name.into(),
+            fp: fingerprint(&name),
+            name,
             lo,
             hi,
         });
@@ -165,6 +158,12 @@ impl Model {
         &self.vars[v.0].name
     }
 
+    /// 64-bit FNV-1a fingerprint of a variable's name, computed once when
+    /// the variable was added. Equal names give equal fingerprints.
+    pub fn var_fingerprint(&self, v: VarId) -> u64 {
+        self.vars[v.0].fp
+    }
+
     /// Adds the constraint `expr ≤ rhs`.
     pub fn constrain_le(&mut self, expr: LinExpr, rhs: f64) {
         self.rows.push((expr, Relation::Le, rhs));
@@ -185,21 +184,21 @@ impl Model {
         self.objective += expr;
     }
 
-    /// A stable content hash (FNV-1a over referenced variable names,
-    /// coefficient bits, the constant term, and the weight) naming hinge/abs
-    /// auxiliaries. Index-derived names would shift whenever an unrelated
-    /// variable is added earlier in a rebuilt model, which silently
-    /// invalidates warm-start bases recorded by name; content-derived names
-    /// survive model rebuilds as long as the penalty term itself is
-    /// unchanged.
+    /// A stable content tag naming hinge/abs auxiliaries: the merged
+    /// `(name fingerprint, coefficient bits)` pairs, the constant term, and
+    /// the weight, folded word by word. Index-derived names would shift
+    /// whenever an unrelated variable is added earlier in a rebuilt model,
+    /// which silently invalidates warm-start bases recorded by name;
+    /// content-derived names survive model rebuilds as long as the penalty
+    /// term itself is unchanged.
     fn expr_tag(&self, expr: &LinExpr, weight: f64) -> u64 {
-        let mut h = FNV_OFFSET;
-        for (v, c) in expr.coefficients() {
-            h = fnv_mix(h, self.vars[v.0].name.as_bytes());
-            h = fnv_mix(h, &c.to_bits().to_le_bytes());
+        let mut h = SIG_SEED;
+        for (j, c) in expr.index_coefficients() {
+            h = fold(h, self.vars[j].fp);
+            h = fold(h, c.to_bits());
         }
-        h = fnv_mix(h, &expr.constant_term().to_bits().to_le_bytes());
-        fnv_mix(h, &weight.to_bits().to_le_bytes())
+        h = fold(h, expr.constant_term().to_bits());
+        fold(h, weight.to_bits())
     }
 
     /// Adds `weight · max(0, expr)` to the objective (SherLock's
@@ -210,13 +209,14 @@ impl Model {
     ///
     /// Panics if `weight` is negative (the reformulation is only exact for
     /// nonnegative weights).
-    pub fn add_hinge(&mut self, expr: LinExpr, weight: f64) -> VarId {
+    pub fn add_hinge(&mut self, mut expr: LinExpr, weight: f64) -> VarId {
         assert!(weight >= 0.0, "hinge weight must be nonnegative");
         let tag = self.expr_tag(&expr, weight);
         let s = self.add_var(format!("hinge:{tag:016x}"), 0.0, f64::INFINITY);
         // s >= expr  ⇔  expr - s <= 0
-        self.constrain_le(expr - LinExpr::from(s), 0.0);
-        self.minimize(LinExpr::term(s, weight));
+        expr.add_term(s, -1.0);
+        self.constrain_le(expr, 0.0);
+        self.objective.add_term(s, weight);
         s
     }
 
@@ -226,13 +226,16 @@ impl Model {
     /// # Panics
     ///
     /// Panics if `weight` is negative.
-    pub fn add_abs(&mut self, expr: LinExpr, weight: f64) -> VarId {
+    pub fn add_abs(&mut self, mut expr: LinExpr, weight: f64) -> VarId {
         assert!(weight >= 0.0, "abs weight must be nonnegative");
         let tag = self.expr_tag(&expr, weight);
         let t = self.add_var(format!("abs:{tag:016x}"), 0.0, f64::INFINITY);
-        self.constrain_le(expr.clone() - LinExpr::from(t), 0.0);
-        self.constrain_le(-expr - LinExpr::from(t), 0.0);
-        self.minimize(LinExpr::term(t, weight));
+        let mut neg = -expr.clone();
+        expr.add_term(t, -1.0);
+        neg.add_term(t, -1.0);
+        self.constrain_le(expr, 0.0);
+        self.constrain_le(neg, 0.0);
+        self.objective.add_term(t, weight);
         t
     }
 
@@ -325,7 +328,7 @@ impl Model {
             Ok(p) => p,
             Err(e) => {
                 if let Some(b) = basis {
-                    b.reset();
+                    b.clear();
                 }
                 return Err(e);
             }
@@ -340,15 +343,15 @@ impl Model {
         // bound; unmatched (new) rows get a Basic slack, the same slackness
         // a cold start would give them. Basis installation places recorded
         // structurals first and demotes surplus slacks.
-        let row_tags = row_tags(&pre);
+        let row_tags = row_tags(self, &pre);
         let n_cols = inst.n_struct + inst.m;
         let start: Option<Vec<VarStatus>> = match &basis {
             Some(b) if !b.is_empty() => {
                 let mut statuses = vec![VarStatus::AtLower; n_cols];
                 statuses[inst.n_struct..].fill(VarStatus::Basic);
                 let mut hits = 0usize;
-                for (j, name) in pre.names.iter().enumerate() {
-                    if let Some(s) = b.status(name) {
+                for (j, &orig) in pre.orig.iter().enumerate() {
+                    if let Some(s) = b.var_status(self.vars[orig].fp) {
                         statuses[j] = s;
                         hits += 1;
                     }
@@ -373,16 +376,16 @@ impl Model {
             Ok(out) => out,
             Err(e) => {
                 if let Some(b) = basis {
-                    b.reset();
+                    b.clear();
                 }
                 return Err(e.into());
             }
         };
 
         if let Some(b) = basis {
-            b.reset();
-            for (j, name) in pre.names.iter().enumerate() {
-                b.record(name, out.statuses[j]);
+            b.clear();
+            for (j, &orig) in pre.orig.iter().enumerate() {
+                b.record(self.vars[orig].fp, out.statuses[j]);
             }
             for (i, &tag) in row_tags.iter().enumerate() {
                 b.record_row(tag, out.statuses[inst.n_struct + i]);
@@ -451,8 +454,8 @@ impl Model {
     pub fn presolved(&self) -> Result<Model, LpError> {
         let pre = presolve::run(self)?;
         let mut reduced = Model::new();
-        for (j, name) in pre.names.iter().enumerate() {
-            reduced.add_var(name.clone(), pre.lower[j], pre.upper[j]);
+        for (j, &orig) in pre.orig.iter().enumerate() {
+            reduced.add_var(self.vars[orig].name.clone(), pre.lower[j], pre.upper[j]);
         }
         for row in &pre.rows {
             let mut expr = LinExpr::zero();

@@ -21,8 +21,7 @@
 //! values. [`Model::presolved`] exposes the reduced model; `run` is the
 //! internal entry point that also keeps the reconstruction mapping.
 
-use std::collections::HashMap;
-
+use crate::basis::{fold, FpMap, SIG_SEED};
 use crate::model::{LpError, Model};
 use crate::simplex::Relation;
 
@@ -45,8 +44,8 @@ pub(crate) struct CanonRow {
 /// back onto the original variables.
 #[derive(Clone, Debug)]
 pub(crate) struct Presolved {
-    /// Reduced variables, original names preserved.
-    pub names: Vec<String>,
+    /// Original index of each reduced variable.
+    pub orig: Vec<usize>,
     pub lower: Vec<f64>,
     pub upper: Vec<f64>,
     /// Surviving rows over reduced indices.
@@ -85,11 +84,7 @@ pub(crate) fn run(model: &Model) -> Result<Presolved, LpError> {
         .iter()
         .map(|(expr, rel, rhs)| {
             Some(CanonRow {
-                coeffs: expr
-                    .coefficients()
-                    .into_iter()
-                    .map(|(v, c)| (v.0, c))
-                    .collect(),
+                coeffs: expr.index_coefficients(),
                 relation: *rel,
                 rhs: rhs - expr.constant_term(),
             })
@@ -179,40 +174,57 @@ pub(crate) fn run(model: &Model) -> Result<Presolved, LpError> {
 
     // Duplicate-row dedup: identical coefficient patterns keep one row with
     // the tightest rhs. Keyed on exact bit patterns — SherLock's duplicates
-    // are verbatim copies of the same window encoding.
-    let mut seen: HashMap<(Vec<(usize, u64)>, u8), usize> = HashMap::new();
-    let live_idx: Vec<usize> = (0..rows.len()).filter(|&i| rows[i].is_some()).collect();
-    for i in live_idx {
-        let row = rows[i].as_ref().expect("live row");
-        let key: (Vec<(usize, u64)>, u8) = (
-            row.coeffs.iter().map(|&(j, c)| (j, c.to_bits())).collect(),
-            match row.relation {
-                Relation::Le => 0,
-                Relation::Ge => 1,
-                Relation::Eq => 2,
-            },
-        );
-        match seen.entry(key) {
+    // are verbatim copies of the same window encoding. Rows are hashed in
+    // place; rows whose hashes match are compared exactly, and distinct rows
+    // sharing a hash chain through `next_same`.
+    let mut first_of: FpMap<usize> = FpMap::default();
+    let mut next_same = vec![usize::MAX; rows.len()];
+    for i in 0..rows.len() {
+        let Some(row) = &rows[i] else { continue };
+        let mut h = fold(SIG_SEED, row.relation as u64);
+        for &(j, c) in &row.coeffs {
+            h = fold(fold(h, j as u64), c.to_bits());
+        }
+        let mut at = match first_of.entry(h) {
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(i);
+                continue;
             }
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let first = *e.get();
-                let rhs = row.rhs;
-                let kept_row = rows[first].as_mut().expect("kept row");
-                match kept_row.relation {
-                    Relation::Le => kept_row.rhs = kept_row.rhs.min(rhs),
-                    Relation::Ge => kept_row.rhs = kept_row.rhs.max(rhs),
-                    Relation::Eq => {
-                        if (kept_row.rhs - rhs).abs() > FEAS_TOL {
-                            return Err(LpError::Infeasible);
-                        }
-                    }
+            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
+        };
+        let same_pattern = |other: &CanonRow| {
+            other.relation == row.relation
+                && other.coeffs.len() == row.coeffs.len()
+                && other
+                    .coeffs
+                    .iter()
+                    .zip(&row.coeffs)
+                    .all(|(&(j1, c1), &(j2, c2))| j1 == j2 && c1.to_bits() == c2.to_bits())
+        };
+        let first = loop {
+            if same_pattern(rows[at].as_ref().expect("kept row")) {
+                break Some(at);
+            }
+            if next_same[at] == usize::MAX {
+                next_same[at] = i;
+                break None;
+            }
+            at = next_same[at];
+        };
+        let Some(first) = first else { continue };
+        let rhs = row.rhs;
+        let kept_row = rows[first].as_mut().expect("kept row");
+        match kept_row.relation {
+            Relation::Le => kept_row.rhs = kept_row.rhs.min(rhs),
+            Relation::Ge => kept_row.rhs = kept_row.rhs.max(rhs),
+            Relation::Eq => {
+                if (kept_row.rhs - rhs).abs() > FEAS_TOL {
+                    return Err(LpError::Infeasible);
                 }
-                rows[i] = None;
-                rows_dropped += 1;
             }
         }
+        rows[i] = None;
+        rows_dropped += 1;
     }
 
     // Remap to reduced indices.
@@ -243,9 +255,9 @@ pub(crate) fn run(model: &Model) -> Result<Presolved, LpError> {
     }
 
     Ok(Presolved {
-        names: kept.iter().map(|&j| model.vars[j].name.clone()).collect(),
         lower: kept.iter().map(|&j| lower[j]).collect(),
         upper: kept.iter().map(|&j| upper[j]).collect(),
+        orig: kept,
         rows: out_rows,
         cost,
         obj_offset,

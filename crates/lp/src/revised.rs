@@ -68,21 +68,43 @@ pub(crate) struct Instance {
 impl Instance {
     pub fn build(p: &Presolved) -> Instance {
         let m = p.rows.len();
-        let n_struct = p.names.len();
-        let mut columns: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n_struct + m];
-        for (i, row) in p.rows.iter().enumerate() {
-            // Row coefficients are merged and sorted, and rows are visited in
-            // order, so each column's entries come out sorted by row.
+        let n_struct = p.orig.len();
+        // Count each column's entries, then fill the CSC arrays in place.
+        // Row coefficients are merged and sorted, and rows are visited in
+        // order, so each column's entries come out sorted by row.
+        let mut col_ptr = vec![0usize; n_struct + m + 1];
+        for row in &p.rows {
             for &(j, c) in &row.coeffs {
                 if c != 0.0 {
-                    columns[j].push((i, c));
+                    col_ptr[j + 1] += 1;
                 }
             }
         }
-        let mut lower = p.lower.clone();
-        let mut upper = p.upper.clone();
+        col_ptr[n_struct + 1..].fill(1);
+        for j in 0..n_struct + m {
+            col_ptr[j + 1] += col_ptr[j];
+        }
+        let nnz = col_ptr[n_struct + m];
+        let mut row_idx = vec![0usize; nnz];
+        let mut values = vec![0.0; nnz];
+        let mut next = col_ptr[..n_struct + m].to_vec();
         for (i, row) in p.rows.iter().enumerate() {
-            columns[n_struct + i].push((i, 1.0));
+            for &(j, c) in &row.coeffs {
+                if c != 0.0 {
+                    row_idx[next[j]] = i;
+                    values[next[j]] = c;
+                    next[j] += 1;
+                }
+            }
+            let k = col_ptr[n_struct + i];
+            row_idx[k] = i;
+            values[k] = 1.0;
+        }
+        let mut lower = Vec::with_capacity(n_struct + m);
+        let mut upper = Vec::with_capacity(n_struct + m);
+        lower.extend_from_slice(&p.lower);
+        upper.extend_from_slice(&p.upper);
+        for row in &p.rows {
             // Row `a·x {≤,≥,=} b` becomes `a·x + s = b` with the slack's sign
             // constrained to absorb exactly the allowed direction.
             let (lo, hi) = match row.relation {
@@ -93,12 +115,13 @@ impl Instance {
             lower.push(lo);
             upper.push(hi);
         }
-        let mut cost = p.cost.clone();
+        let mut cost = Vec::with_capacity(n_struct + m);
+        cost.extend_from_slice(&p.cost);
         cost.resize(n_struct + m, 0.0);
         Instance {
             m,
             n_struct,
-            cols: Csc::from_columns(m, &columns),
+            cols: Csc::from_raw(m, col_ptr, row_idx, values),
             lower,
             upper,
             cost,

@@ -16,22 +16,20 @@ pub struct Csc {
 }
 
 impl Csc {
-    /// Builds from per-column entry lists. Duplicate row indices within one
-    /// column must already be merged and zeros dropped by the caller.
-    pub fn from_columns(n_rows: usize, columns: &[Vec<(usize, f64)>]) -> Csc {
-        let nnz = columns.iter().map(Vec::len).sum();
-        let mut col_ptr = Vec::with_capacity(columns.len() + 1);
-        let mut row_idx = Vec::with_capacity(nnz);
-        let mut values = Vec::with_capacity(nnz);
-        col_ptr.push(0);
-        for col in columns {
-            for &(i, v) in col {
-                debug_assert!(i < n_rows, "row index out of range");
-                row_idx.push(i);
-                values.push(v);
-            }
-            col_ptr.push(row_idx.len());
-        }
+    /// Builds from raw CSC arrays: `col_ptr` has one entry per column plus
+    /// a final `nnz`, and each column's run is sorted by row.
+    pub fn from_raw(
+        n_rows: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Csc {
+        debug_assert_eq!(col_ptr.last(), Some(&row_idx.len()));
+        debug_assert_eq!(row_idx.len(), values.len());
+        debug_assert!(
+            row_idx.iter().all(|&i| i < n_rows),
+            "row index out of range"
+        );
         Csc {
             n_rows,
             col_ptr,
@@ -83,7 +81,7 @@ mod tests {
 
     #[test]
     fn round_trips_columns() {
-        let m = Csc::from_columns(3, &[vec![(0, 1.0), (2, -2.0)], vec![], vec![(1, 4.0)]]);
+        let m = Csc::from_raw(3, vec![0, 2, 2, 3], vec![0, 2, 1], vec![1.0, -2.0, 4.0]);
         assert_eq!(m.n_rows(), 3);
         assert_eq!(m.n_cols(), 3);
         assert_eq!(m.nnz(), 3);
@@ -94,7 +92,7 @@ mod tests {
 
     #[test]
     fn dot_and_scatter() {
-        let m = Csc::from_columns(3, &[vec![(0, 2.0), (1, 3.0)]]);
+        let m = Csc::from_raw(3, vec![0, 2], vec![0, 1], vec![2.0, 3.0]);
         assert_eq!(m.col_dot(0, &[1.0, 10.0, 100.0]), 32.0);
         let mut dense = vec![0.0; 3];
         m.scatter(0, &mut dense);
