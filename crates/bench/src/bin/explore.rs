@@ -1,11 +1,11 @@
 //! Schedule-exploration throughput benchmark.
 //!
-//! Headline number: **schedules/sec of the streaming campaign engine vs.
-//! the pre-change Explorer at equal worker count (`jobs = 1`)**. The
-//! baseline row pins the pre-change configuration — OS-thread simulator
-//! backend, single exhaustive strategy, collect-everything retention — so
-//! the speedup column isolates what this change bought: fiber scheduling,
-//! probabilistic dedup, and bounded retention.
+//! Headline number: **schedules/sec of the streaming campaign engine vs. a
+//! fixed-strategy baseline at equal worker count (`jobs = 1`)**. The
+//! baseline row is a one-arm random-walk campaign on the OS-thread
+//! simulator backend that retains every distinct report, so the speedup
+//! column isolates what the default campaign buys: fiber scheduling, the
+//! arm bandit, and bounded retention.
 //!
 //! Also measured and recorded, because the campaign's claims are about
 //! more than throughput:
@@ -15,7 +15,7 @@
 //! - **replay determinism**: the same `(config, seed)` is run twice and
 //!   the distinct-hash digests must be identical;
 //! - **per-strategy breakdown**: the bandit's per-arm runs/fresh split
-//!   plus the legacy per-strategy table retained from the old benchmark.
+//!   plus a per-strategy table of one-arm campaigns per unit test.
 //!
 //! Writes `results/BENCH_explore.json` and prints summary tables.
 
@@ -25,7 +25,7 @@ use std::time::Instant;
 use sherlock_apps::{all_apps, App};
 use sherlock_bench::{cells, TablePrinter};
 use sherlock_obs::json::Json;
-use sherlock_sim::{Campaign, CampaignConfig, ExploreConfig, Explorer, SimBackend, StrategyKind};
+use sherlock_sim::{Campaign, CampaignConfig, SimBackend, StrategyKind};
 
 const APPS: [&str; 2] = ["App-1", "App-7"];
 /// Baseline runs are expensive (one OS thread per simulated spawn), so the
@@ -33,7 +33,7 @@ const APPS: [&str; 2] = ["App-1", "App-7"];
 const BASELINE_RUNS: u64 = 96;
 const CAMPAIGN_RUNS: u64 = 2048;
 const REPLAY_RUNS: u64 = 512;
-const LEGACY_RUNS_PER_TEST: u64 = 24;
+const RUNS_PER_TEST: u64 = 24;
 
 /// The whole test suite run back to back — the campaign's native workload
 /// shape, and what the `explore` verb executes server-side.
@@ -87,24 +87,26 @@ fn main() {
     for app in &apps {
         let workload = suite_workload(app);
 
-        // Pre-change equivalent: the Explorer as it shipped before this
-        // change — OS-thread backend, one strategy, jobs=1.
-        let mut ecfg = ExploreConfig::default();
-        ecfg.runs = BASELINE_RUNS;
-        ecfg.jobs = 1;
-        ecfg.strategy = StrategyKind::RandomWalk;
-        ecfg.sim.backend = SimBackend::OsThreads;
+        // The speedup column's denominator (see the module docs).
+        let mut bcfg = CampaignConfig {
+            max_schedules: BASELINE_RUNS,
+            jobs: 1,
+            arms: vec![StrategyKind::RandomWalk],
+            report_cap: usize::MAX,
+            ..CampaignConfig::default()
+        };
+        bcfg.sim.backend = SimBackend::OsThreads;
         let start = Instant::now();
-        let baseline = Explorer::new(ecfg).run(Arc::clone(&workload));
+        let baseline = Campaign::new(bcfg).run(Arc::clone(&workload));
         let baseline_secs = start.elapsed().as_secs_f64().max(1e-9);
         let baseline_rate = baseline.runs as f64 / baseline_secs;
         println!(
             "{}",
             t.row(cells![
                 app.id,
-                "explorer-os(pre)",
+                "fixed-os(base)",
                 baseline.runs,
-                baseline.distinct.len(),
+                baseline.distinct,
                 format!(
                     "{:.1}",
                     100.0 * baseline.dedup_hits as f64 / baseline.runs as f64
@@ -119,7 +121,6 @@ fn main() {
         let mut ccfg = CampaignConfig::default();
         ccfg.max_schedules = CAMPAIGN_RUNS;
         ccfg.jobs = 1;
-        ccfg.summary_cap = 0;
         ccfg.report_cap = 0;
         let result = Campaign::new(ccfg).run(Arc::clone(&workload));
         let campaign_rate = result.sched_per_sec;
@@ -159,13 +160,10 @@ fn main() {
                 Json::Obj(vec![
                     (
                         "engine".to_string(),
-                        Json::from("explorer-os-threads-prechange"),
+                        Json::from("fixed-arm-campaign-os-threads"),
                     ),
                     ("runs".to_string(), Json::from(baseline.runs)),
-                    (
-                        "distinct".to_string(),
-                        Json::from(baseline.distinct.len() as u64),
-                    ),
+                    ("distinct".to_string(), Json::from(baseline.distinct)),
                     ("runs_per_sec".to_string(), Json::Num(baseline_rate)),
                 ]),
             ),
@@ -202,7 +200,6 @@ fn main() {
         ccfg.max_schedules = REPLAY_RUNS;
         ccfg.base_seed = seed;
         ccfg.jobs = 1;
-        ccfg.summary_cap = 0;
         ccfg.report_cap = 0;
         Campaign::new(ccfg).run(suite_workload(replay_app))
     };
@@ -223,21 +220,21 @@ fn main() {
     let peak_rss = peak_rss_bytes();
     if let Some(rss) = peak_rss {
         println!(
-            "memory: filter {} KiB, caps summary=0 report=0, peak RSS {} MiB",
+            "memory: filter {} KiB, report cap 0, peak RSS {} MiB",
             ra.filter_bytes / 1024,
             rss / (1024 * 1024)
         );
     }
 
-    // Legacy per-strategy table (fixed-run Explorer per test), kept for
-    // continuity with earlier result files.
+    // Per-strategy table: a one-arm campaign per unit test, with the same
+    // per-test seed blocks as `sherlock explore`.
     let strategies = [
         StrategyKind::RandomWalk,
         StrategyKind::Pct { depth: 3 },
         StrategyKind::RoundRobin { quantum: 4 },
     ];
     let lt = TablePrinter::new(&[10, 10, 8, 10, 12, 14]);
-    println!("\nPer-strategy Explorer ({LEGACY_RUNS_PER_TEST} runs per test, fibers)\n");
+    println!("\nPer-strategy campaigns ({RUNS_PER_TEST} runs per test, fibers)\n");
     println!(
         "{}",
         lt.row(cells![
@@ -252,13 +249,16 @@ fn main() {
             let mut runs = 0u64;
             let mut distinct = 0u64;
             for (i, test) in app.tests.iter().enumerate() {
-                let mut ecfg = ExploreConfig::default();
-                ecfg.runs = LEGACY_RUNS_PER_TEST;
-                ecfg.base_seed = (i as u64) << 32;
-                ecfg.strategy = strategy;
-                let result = Explorer::new(ecfg).run(test.body());
+                let ccfg = CampaignConfig {
+                    max_schedules: RUNS_PER_TEST,
+                    base_seed: (i as u64) << 32,
+                    arms: vec![strategy],
+                    report_cap: usize::MAX,
+                    ..CampaignConfig::default()
+                };
+                let result = Campaign::new(ccfg).run(test.body());
                 runs += result.runs;
-                distinct += result.distinct.len() as u64;
+                distinct += result.distinct;
             }
             let secs = start.elapsed().as_secs_f64().max(1e-9);
             println!(
@@ -311,7 +311,6 @@ fn main() {
                     "filter_bytes".to_string(),
                     Json::from(ra.filter_bytes as u64),
                 ),
-                ("summary_cap".to_string(), Json::from(0u64)),
                 ("report_cap".to_string(), Json::from(0u64)),
                 (
                     "peak_rss_bytes".to_string(),
@@ -327,7 +326,7 @@ fn main() {
     let path = sherlock_bench::results_path("BENCH_explore.json");
     std::fs::write(&path, Json::Obj(doc).render_pretty()).expect("write BENCH_explore.json");
     println!(
-        "\ntotal {:.1} ms wall, min speedup vs pre-change explorer: {min_speedup:.1}x",
+        "\ntotal {:.1} ms wall, min speedup vs fixed-strategy baseline: {min_speedup:.1}x",
         wall_ns as f64 / 1e6
     );
     println!("wrote {}", path.display());

@@ -156,7 +156,7 @@ impl SherLock {
     }
 
     /// Feeds one externally produced trace (e.g. an explored schedule from
-    /// `sherlock-sim`'s Explorer) into the session's observations — exactly
+    /// a `sherlock-sim` campaign) into the session's observations — exactly
     /// the Observer path of [`run_round`](Self::run_round), minus running a
     /// test. Call [`resolve`](Self::resolve) afterwards to fold the new
     /// evidence into the report.

@@ -133,7 +133,7 @@ impl Observations {
     }
 
     /// Serializes the accumulated state as a [`Json`] value tree for
-    /// `sherlock-store` snapshots. Ops serialize as resolved [`OpRef`]s
+    /// `sherlock-store` snapshots. Ops serialize as resolved [`OpRef`](sherlock_trace::OpRef)s
     /// (raw `OpId`s are intern-order accidents and do not survive a process
     /// restart); map-shaped state is emitted in `OpId` order so the bytes are
     /// deterministic within one process.

@@ -99,8 +99,9 @@ fn content_hash(trace: &Trace) -> u64 {
 pub const DEFAULT_MEMO_CAPACITY: usize = 128;
 
 /// An incremental inference session: accumulated [`Observations`], the last
-/// solved [`InferenceReport`], and the memo caches described in the
-/// [module docs](self).
+/// solved [`InferenceReport`], a bounded window-extraction memo keyed by
+/// trace content hash, and a solve memo that skips the LP while the
+/// observations are unchanged.
 pub struct Session {
     config: SherLockConfig,
     observations: Observations,

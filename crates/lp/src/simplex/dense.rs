@@ -7,7 +7,7 @@
 //! of iterations to guarantee termination under degeneracy.
 //!
 //! This was the production solver until the sparse revised simplex
-//! ([`crate::revised`]) replaced it; it is kept in-tree, uninstrumented and
+//! (reached via [`crate::Model::solve`]) replaced it; it is kept in-tree, uninstrumented and
 //! unchanged, so every sparse-solver change stays differentially checkable
 //! against an independent implementation (`tests/differential.rs`,
 //! `tests/proptest_lp.rs`). Do not optimize it — its value is simplicity.

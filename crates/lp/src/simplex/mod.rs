@@ -1,7 +1,7 @@
 //! Simplex solvers and their shared problem vocabulary.
 //!
-//! Production solving goes through the sparse revised simplex in
-//! [`crate::revised`] (reached via [`crate::Model::solve`]); the dense
+//! Production solving goes through the sparse revised simplex (the private
+//! `revised` module, reached via [`crate::Model::solve`]); the dense
 //! two-phase tableau that seeded this repo lives on in [`dense`] as a
 //! slow-but-simple *reference oracle* for differential testing. The types
 //! here — [`Problem`], [`Row`], [`Relation`], [`SimplexError`] — are the

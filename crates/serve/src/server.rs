@@ -23,7 +23,7 @@
 //!
 //! Responses are written strictly in request order per connection: the
 //! reader stamps every request with a sequence number and writers
-//! reassemble out-of-order completions ([`Conn::send`]), so clients can
+//! reassemble out-of-order completions (`Conn::send`), so clients can
 //! pipeline freely and never observe reordering.
 //!
 //! # Drain

@@ -1,12 +1,18 @@
-//! Novelty-guided streaming schedule campaigns.
+//! Streaming schedule campaigns: the one schedule-exploration engine.
 //!
-//! The [`Explorer`](crate::Explorer) answers "run this workload under N
-//! seeds of one strategy". A [`Campaign`] answers the question that matters
-//! at millions of schedules: *which* strategy should get the next seed? It
-//! runs a bandit over (strategy, depth) **arms** — e.g. random walk, PCT at
-//! several depths, round-robin — and steers the run budget toward arms whose
-//! recent traces were *fresh* (new to the dedup filter), because an arm that
-//! keeps rediscovering old interleavings is wasted budget.
+//! One simulated run replays exactly one interleaving per `(workload, seed)`;
+//! a [`Campaign`] fans the same workload out across many seeds — one kernel
+//! per seed, spread over a pool of OS worker threads — and deduplicates the
+//! outcomes by [`Trace::stable_hash`], so "how many *distinct* schedules did
+//! we actually cover" is a first-class number rather than a guess.
+//!
+//! Each run's strategy comes from a bandit over (strategy, depth) **arms** —
+//! e.g. random walk, PCT at several depths, round-robin — that steers the
+//! run budget toward arms whose recent traces were *fresh* (new to the dedup
+//! filter), because an arm that keeps rediscovering old interleavings is
+//! wasted budget. Fixed-strategy exploration is a one-arm campaign: the
+//! bandit then gives every run to that arm, and run `r` is simply
+//! `Sim` at seed `base_seed + r` under that strategy.
 //!
 //! # Determinism
 //!
@@ -36,10 +42,17 @@
 //! smoothing guarantees every arm a nonzero weight). After each batch both
 //! counters are halved (integer EMA with a one-batch half-life).
 //!
-//! Memory is O(filter + caps): per-run summaries and retained distinct
-//! reports default to small caps, and the distinct-hash list is kept only
-//! when [`CampaignConfig::retain_hashes`] asks for it — otherwise a running
-//! FNV-1a digest stands in for the set.
+//! # Memory
+//!
+//! Memory is O(filter + [`CampaignConfig::report_cap`]): dedup goes through
+//! a compact [`ScheduleFilter`] instead of an exact set, only the first
+//! `report_cap` distinct reports are retained, and a running FNV-1a digest
+//! stands in for the distinct set. The filter trades exactness for space: a
+//! false positive makes a genuinely new schedule count as a duplicate, at
+//! the measured rate reported in [`CampaignResult::est_fp_rate`] (~1e-4 at
+//! default sizing).
+//!
+//! [`Trace::stable_hash`]: sherlock_trace::Trace::stable_hash
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::channel;
@@ -49,7 +62,6 @@ use std::time::{Duration, Instant};
 use sherlock_obs::{counter, counter_named, histogram};
 
 use crate::config::SimConfig;
-use crate::explore::ScheduleSummary;
 use crate::filter::ScheduleFilter;
 use crate::kernel::{Outcome, RunReport, Sim};
 use crate::strategy::StrategyKind;
@@ -95,15 +107,9 @@ pub struct CampaignConfig {
     pub arms: Vec<StrategyKind>,
     /// log2 of dedup-filter bits; `None` auto-sizes from `max_schedules`.
     pub filter_bits: Option<u32>,
-    /// Per-run summaries retained (first N). Campaigns default to 0 —
-    /// summaries are an Explorer-compat affordance, not a streaming one.
-    pub summary_cap: usize,
-    /// Distinct [`RunReport`]s retained (first N in first-seen order).
+    /// Distinct [`RunReport`]s retained (first N in first-seen order);
+    /// `usize::MAX` keeps every one.
     pub report_cap: usize,
-    /// Keep every distinct hash in [`CampaignResult::distinct_hashes`].
-    /// Costs 8 bytes/distinct; off by default (the digest alone identifies
-    /// the set for replay comparison).
-    pub retain_hashes: bool,
     /// Template for each run's [`SimConfig`] (seed/strategy overwritten).
     pub sim: SimConfig,
 }
@@ -117,9 +123,7 @@ impl Default for CampaignConfig {
             batch: 64,
             arms: default_arms(),
             filter_bits: None,
-            summary_cap: 0,
             report_cap: 16,
-            retain_hashes: false,
             sim: SimConfig::default(),
         }
     }
@@ -196,13 +200,9 @@ pub struct CampaignResult {
     /// FNV-1a digest of the distinct hashes in commit order — two campaigns
     /// discovered the same distinct sequence iff digests match.
     pub distinct_digest: u64,
-    /// Every distinct hash in commit order (only when
-    /// [`CampaignConfig::retain_hashes`] was set).
-    pub distinct_hashes: Vec<u64>,
-    /// First [`CampaignConfig::report_cap`] distinct reports.
+    /// First [`CampaignConfig::report_cap`] distinct reports, in commit
+    /// order.
     pub reports: Vec<RunReport>,
-    /// First [`CampaignConfig::summary_cap`] per-run summaries.
-    pub summaries: Vec<ScheduleSummary>,
     /// Per-arm totals, in arm order.
     pub arms: Vec<ArmReport>,
     /// Wall-clock duration of the campaign.
@@ -338,7 +338,6 @@ impl Campaign {
 
             // Commit in run order: filter, arm credit, digest, retention.
             for (offset, report) in reports.into_iter().enumerate() {
-                let run_index = global_run + offset as u64;
                 let arm_idx = plan[offset];
                 let hash = report.trace.stable_hash();
                 let is_new = filter.insert(hash);
@@ -346,26 +345,12 @@ impl Campaign {
                 arm.runs += 1;
                 arm.recent_runs += 1;
                 result.runs += 1;
-                if result.summaries.len() < cfg.summary_cap {
-                    result.summaries.push(ScheduleSummary {
-                        run_index,
-                        seed: cfg.base_seed.wrapping_add(run_index),
-                        trace_hash: hash,
-                        steps: report.steps,
-                        events: report.trace.len(),
-                        deadlocked: matches!(report.outcome, Outcome::Deadlock(_)),
-                        panicked: !report.panics.is_empty(),
-                    });
-                }
                 if is_new {
                     arm.fresh += 1;
                     arm.recent_fresh += 1;
                     arm_counters[arm_idx].1.incr();
                     result.distinct += 1;
                     result.distinct_digest = fnv1a64(result.distinct_digest, hash);
-                    if cfg.retain_hashes {
-                        result.distinct_hashes.push(hash);
-                    }
                     if matches!(report.outcome, Outcome::Deadlock(_)) {
                         result.deadlocks += 1;
                     }
@@ -499,6 +484,8 @@ impl Campaign {
 mod tests {
     use super::*;
     use crate::prims::TracedVar;
+    use sherlock_trace::Time;
+    use std::collections::HashSet;
 
     fn workload() -> Arc<dyn Fn() + Send + Sync> {
         Arc::new(|| {
@@ -520,8 +507,44 @@ mod tests {
         cfg.jobs = jobs;
         cfg.batch = 16;
         cfg.base_seed = 7;
-        cfg.retain_hashes = true;
+        cfg.report_cap = usize::MAX;
         cfg
+    }
+
+    /// Three threads racing on one variable: enough interleavings that
+    /// random-walk and PCT seeds spread over several schedules.
+    fn wide_workload() -> Arc<dyn Fn() + Send + Sync> {
+        Arc::new(|| {
+            let v = TracedVar::new("Campaign", "w", 0u32);
+            let body = |v: TracedVar<u32>, k: u32| {
+                for i in 0..3 {
+                    v.set(k + i);
+                    let _ = v.get();
+                }
+            };
+            let (v1, v2) = (v.clone(), v.clone());
+            let h1 = crate::api::spawn("a", move || body(v1, 10));
+            let h2 = crate::api::spawn("b", move || body(v2, 20));
+            body(v, 0);
+            h1.join();
+            h2.join();
+        })
+    }
+
+    /// Fixed-strategy exploration: a one-arm campaign keeping every report.
+    fn one_arm(strategy: StrategyKind, max: u64, jobs: usize) -> CampaignConfig {
+        CampaignConfig {
+            arms: vec![strategy],
+            ..config(max, jobs)
+        }
+    }
+
+    /// Distinct hashes in commit order, read from the retained reports.
+    fn hashes(r: &CampaignResult) -> Vec<u64> {
+        r.reports
+            .iter()
+            .map(|rep| rep.trace.stable_hash())
+            .collect()
     }
 
     #[test]
@@ -543,7 +566,7 @@ mod tests {
         let serial = Campaign::new(config(64, 1)).run(workload());
         let parallel = Campaign::new(config(64, 4)).run(workload());
         assert_eq!(serial.runs, 64);
-        assert_eq!(serial.distinct_hashes, parallel.distinct_hashes);
+        assert_eq!(hashes(&serial), hashes(&parallel));
         assert_eq!(serial.distinct_digest, parallel.distinct_digest);
         assert_eq!(serial.distinct, parallel.distinct);
         assert_eq!(serial.dedup_hits, parallel.dedup_hits);
@@ -561,7 +584,7 @@ mod tests {
         let a = Campaign::new(config(48, 2)).run(workload());
         let b = Campaign::new(config(48, 2)).run(workload());
         assert_eq!(a.distinct_digest, b.distinct_digest);
-        assert_eq!(a.distinct_hashes, b.distinct_hashes);
+        assert_eq!(hashes(&a), hashes(&b));
     }
 
     #[test]
@@ -580,19 +603,104 @@ mod tests {
     }
 
     #[test]
-    fn retention_and_filter_stats_are_bounded() {
+    fn retention_cap_bounds_reports_without_losing_counts() {
         let mut cfg = config(64, 2);
-        cfg.report_cap = 3;
-        cfg.summary_cap = 5;
-        cfg.retain_hashes = false;
+        cfg.report_cap = 1;
+        let capped = Campaign::new(cfg).run(workload());
+        let uncapped = Campaign::new(config(64, 2)).run(workload());
+        assert_eq!(capped.runs, 64);
+        assert!(
+            uncapped.distinct > 1,
+            "workload too tame to exercise the cap"
+        );
+        assert_eq!(hashes(&capped), hashes(&uncapped)[..1]);
+        assert_eq!(uncapped.reports.len() as u64, uncapped.distinct);
+        // Counts and the distinct-hash sequence are unaffected by retention.
+        assert_eq!(capped.distinct, uncapped.distinct);
+        assert_eq!(capped.distinct_digest, uncapped.distinct_digest);
+        assert_eq!(capped.dedup_hits, uncapped.dedup_hits);
+        assert_eq!(capped.deadlocks, uncapped.deadlocks);
+        assert!(capped.filter_bytes > 0);
+        assert!(capped.filter_occupancy > 0.0);
+    }
+
+    #[test]
+    fn hash_only_campaign_retains_no_reports() {
+        let mut cfg = one_arm(StrategyKind::RandomWalk, 16, 1);
+        cfg.report_cap = 0;
         let result = Campaign::new(cfg).run(workload());
-        assert_eq!(result.runs, 64);
-        assert!(result.reports.len() <= 3);
-        assert_eq!(result.summaries.len(), 5);
-        assert!(result.distinct_hashes.is_empty(), "hashes not retained");
+        assert!(result.reports.is_empty());
         assert!(result.distinct > 0);
         assert!(result.filter_bytes > 0);
-        assert!(result.filter_occupancy > 0.0);
+        assert!(result.est_fp_rate < 1e-3);
+    }
+
+    #[test]
+    fn deadlocked_schedules_are_counted_once() {
+        let mut cfg = one_arm(StrategyKind::RandomWalk, 2, 1);
+        cfg.sim.idle_timeout = Time::from_millis(1);
+        let blocked: Arc<dyn Fn() + Send + Sync> = Arc::new(|| {
+            let ev = crate::prims::EventWaitHandle::new(false);
+            ev.wait_one();
+        });
+        let result = Campaign::new(cfg).run(blocked);
+        assert_eq!(result.runs, 2);
+        assert_eq!(result.deadlocks, 1, "deadlock dedups to one schedule");
+        assert_eq!(result.dedup_hits, 1);
+        assert!(matches!(result.reports[0].outcome, Outcome::Deadlock(_)));
+    }
+
+    #[test]
+    fn single_threaded_body_dedups_to_one_schedule() {
+        // A single-threaded body: every interleaving is identical.
+        let one_thread: Arc<dyn Fn() + Send + Sync> = Arc::new(|| {
+            let v = TracedVar::new("Campaign", "solo", 0u32);
+            v.set(1);
+            let _ = v.get();
+        });
+        let result = Campaign::new(one_arm(StrategyKind::RandomWalk, 8, 2)).run(one_thread);
+        assert_eq!(result.runs, 8);
+        assert_eq!(result.distinct, 1, "single-threaded runs must dedup");
+        assert_eq!(result.reports.len(), 1);
+        assert_eq!(result.dedup_hits, 7);
+    }
+
+    /// The seed rule, against a from-scratch reference: a one-arm campaign
+    /// is exactly run `r` at seed `base_seed + r` under the arm's strategy,
+    /// deduped in run order (here through an exact set), for any worker
+    /// count and across batch boundaries.
+    #[test]
+    fn one_arm_campaign_matches_plain_seed_loop() {
+        const RUNS: u64 = 40;
+        for strategy in [
+            StrategyKind::RandomWalk,
+            StrategyKind::Pct { depth: 3 },
+            StrategyKind::RoundRobin { quantum: 4 },
+        ] {
+            let base = one_arm(strategy, RUNS, 1);
+            let mut seen = HashSet::new();
+            let mut expected = Vec::new();
+            for r in 0..RUNS {
+                let mut sim_cfg = base.sim.clone();
+                sim_cfg.seed = base.base_seed + r;
+                sim_cfg.strategy = strategy;
+                let w = wide_workload();
+                let hash = Sim::new(sim_cfg).run(move || w()).trace.stable_hash();
+                if seen.insert(hash) {
+                    expected.push(hash);
+                }
+            }
+            let digest = expected.iter().fold(FNV_OFFSET, |d, &h| fnv1a64(d, h));
+            for jobs in [1, 4] {
+                let result = Campaign::new(one_arm(strategy, RUNS, jobs)).run(wide_workload());
+                let label = format!("{} at jobs {jobs}", strategy.name());
+                assert_eq!(hashes(&result), expected, "{label}");
+                assert_eq!(result.dedup_hits, RUNS - expected.len() as u64, "{label}");
+                assert_eq!(result.distinct_digest, digest, "{label}");
+                assert_eq!(result.arms.len(), 1);
+                assert_eq!(result.arms[0].runs, RUNS);
+            }
+        }
     }
 
     #[test]

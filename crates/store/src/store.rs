@@ -35,10 +35,10 @@
 //!
 //! # Concurrency protocol
 //!
-//! Exactly one [`Entry`] per key ever exists, and the key's on-disk files
+//! Exactly one `Entry` per key ever exists, and the key's on-disk files
 //! are only touched under that entry's session lock:
 //!
-//! * A miss *reserves* the key by inserting a [`Slot::Vacant`] entry under
+//! * A miss *reserves* the key by inserting a `Slot::Vacant` entry under
 //!   the shard's map lock (allocation only, no I/O). The first
 //!   `with_session` holder then opens — possibly rehydrates — the state
 //!   under the session lock. Losing a create race therefore costs an

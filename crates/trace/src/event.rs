@@ -163,8 +163,8 @@ impl Trace {
     /// function of the seed, so including the clock would make every seed
     /// look like a new schedule. Two traces hash equally iff they interleave
     /// the same operations on the same threads/objects in the same order
-    /// (with the same delay placements) — the identity the schedule Explorer
-    /// deduplicates on.
+    /// (with the same delay placements) — the identity schedule campaigns
+    /// deduplicate on.
     pub fn stable_hash(&self) -> u64 {
         const EVENT_TAG: u64 = 0x45 << 56;
         const DELAY_TAG: u64 = 0x44 << 56;

@@ -7,10 +7,31 @@ use std::collections::BTreeSet;
 
 use sherlock_apps::{all_apps, App};
 use sherlock_racer::detect;
-use sherlock_sim::{ExploreConfig, Explorer, StrategyKind};
+use sherlock_sim::{Campaign, CampaignConfig, CampaignResult, StrategyKind};
 
 const CANARY: &str = "App-1";
 const PCT_RUNS: u64 = 24;
+
+/// Fixed-strategy exploration of one unit test: a one-arm campaign that
+/// keeps every distinct report, with the same per-test seed-block layout as
+/// `sherlock explore`.
+fn explore_test(
+    app: &App,
+    t: usize,
+    strategy: StrategyKind,
+    runs: u64,
+    jobs: usize,
+) -> CampaignResult {
+    let cfg = CampaignConfig {
+        max_schedules: runs,
+        base_seed: (t as u64) << 32,
+        jobs,
+        arms: vec![strategy],
+        report_cap: usize::MAX,
+        ..CampaignConfig::default()
+    };
+    Campaign::new(cfg).run(app.tests[t].body())
+}
 
 fn canary() -> App {
     all_apps()
@@ -30,15 +51,9 @@ fn racy_schedule_hashes(
 ) -> BTreeSet<u64> {
     let ground = app.truth.full_spec();
     let mut racy = BTreeSet::new();
-    for (t, test) in app.tests.iter().enumerate() {
-        let mut ecfg = ExploreConfig::default();
-        ecfg.runs = runs;
-        // Same per-test seed-block layout as `sherlock explore`.
-        ecfg.base_seed = (t as u64) << 32;
-        ecfg.strategy = strategy;
-        ecfg.jobs = jobs;
-        let result = Explorer::new(ecfg).run(test.body());
-        for report in &result.distinct {
+    for t in 0..app.tests.len() {
+        let result = explore_test(app, t, strategy, runs, jobs);
+        for report in &result.reports {
             let seeded = detect(&report.trace, &ground)
                 .iter()
                 .any(|r| app.truth.is_true_race(&r.location));
@@ -95,13 +110,9 @@ fn every_strategy_expands_schedule_coverage() {
         StrategyKind::RoundRobin { quantum: 4 },
     ] {
         let mut distinct = BTreeSet::new();
-        for (t, test) in app.tests.iter().enumerate() {
-            let mut ecfg = ExploreConfig::default();
-            ecfg.runs = 8;
-            ecfg.base_seed = (t as u64) << 32;
-            ecfg.strategy = strategy;
-            let result = Explorer::new(ecfg).run(test.body());
-            distinct.extend(result.distinct_hashes());
+        for t in 0..app.tests.len() {
+            let result = explore_test(&app, t, strategy, 8, 0);
+            distinct.extend(result.reports.iter().map(|r| r.trace.stable_hash()));
         }
         assert!(
             distinct.len() > 1,
