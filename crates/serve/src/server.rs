@@ -35,8 +35,8 @@
 //! responsive under full queues.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -48,6 +48,7 @@ use sherlock_core::SherLockConfig;
 use sherlock_obs as obs;
 use sherlock_obs::json::Json;
 use sherlock_racer::{detect, differential, SyncSpec};
+use sherlock_store::framing::MAX_RECORD_LEN;
 use sherlock_store::{SessionHandle, SessionStore, StoreOptions};
 
 use sherlock_sim::{Campaign, CampaignConfig, CampaignProgress};
@@ -170,6 +171,9 @@ struct Conn {
     /// `(next sequence to write, completed-but-not-yet-writable lines)`.
     pending: Mutex<(u64, BTreeMap<u64, String>)>,
     open: AtomicBool,
+    /// The last sequence the connection answers before the server closes
+    /// it (`u64::MAX`: no close pending).
+    close_after: AtomicU64,
 }
 
 impl Conn {
@@ -203,6 +207,10 @@ impl Conn {
                     .and_then(|()| s.flush())
                     .is_err()
                 {
+                    self.open.store(false, Ordering::Relaxed);
+                }
+                if p.0 > self.close_after.load(Ordering::Relaxed) {
+                    let _ = s.shutdown(Shutdown::Both);
                     self.open.store(false, Ordering::Relaxed);
                 }
             }
@@ -434,6 +442,7 @@ impl Server {
                         stream: Mutex::new(stream.try_clone().expect("clone stream")),
                         pending: Mutex::new((0, BTreeMap::new())),
                         open: AtomicBool::new(true),
+                        close_after: AtomicU64::new(u64::MAX),
                     });
                     conns
                         .lock()
@@ -557,10 +566,25 @@ fn reader_loop(shared: &Shared, conn: &Arc<Conn>, stream: TcpStream) {
     let mut reader = BufReader::new(stream);
     let mut seq = 0u64;
     let mut line = String::new();
+    // A request line holds at most the store's record cap; reading one byte
+    // past it tells a line that is too long from one that just fits.
+    let cap = u64::from(MAX_RECORD_LEN);
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader).take(cap + 1).read_line(&mut line) {
             Ok(0) | Err(_) => break,
+            Ok(n) if n as u64 > cap && !line.ends_with('\n') => {
+                // The rest of the line cannot be framed: answer, then close
+                // the connection once every earlier response is written.
+                shared.requests.fetch_add(1, Ordering::Relaxed);
+                shared.protocol_errors.fetch_add(1, Ordering::Relaxed);
+                obs::counter!("serve.protocol_errors").incr();
+                obs::counter!("serve.oversized_lines").incr();
+                conn.close_after.store(seq, Ordering::Relaxed);
+                let msg = format!("request line exceeds {MAX_RECORD_LEN} bytes");
+                conn.send(seq, error_response(&Json::Null, &msg), shared);
+                break;
+            }
             Ok(_) => {}
         }
         let trimmed = line.trim();

@@ -103,6 +103,54 @@ fn malformed_lines_get_structured_errors_and_never_kill_the_connection() {
 }
 
 #[test]
+fn an_over_cap_line_gets_a_structured_error_and_closes_the_connection() {
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    let cap = sherlock_store::framing::MAX_RECORD_LEN as usize;
+    let server = spawn(small_config()).expect("spawn");
+    let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
+    // A server that keeps waiting for the newline fails the test, not hangs it.
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .expect("read timeout");
+    stream
+        .write_all(b"{\"id\":1,\"type\":\"ping\"}\n")
+        .expect("write ping");
+    // One byte past the cap and no newline: the line can never be framed.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = cap + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        stream.write_all(&chunk[..n]).expect("write over-cap line");
+        left -= n;
+    }
+
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("ping response");
+    let ping = Json::parse(line.trim()).expect("ping json");
+    assert_eq!(ping.get("ok"), Some(&Json::Bool(true)), "{line}");
+    line.clear();
+    reader.read_line(&mut line).expect("error response");
+    let err = Json::parse(line.trim()).expect("error json");
+    assert_eq!(err.get("ok"), Some(&Json::Bool(false)), "{line}");
+    assert_eq!(err.get("id"), Some(&Json::Null));
+    let msg = err.get("error").and_then(Json::as_str).unwrap_or_default();
+    assert!(msg.contains("exceeds"), "unexpected error: {msg}");
+    // The server closed the connection after answering.
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest).expect("read to EOF");
+    assert!(rest.is_empty());
+
+    let counters = sherlock_obs::snapshot().counters;
+    assert!(counters.get("serve.oversized_lines").copied().unwrap_or(0) >= 1);
+    server.shutdown();
+    let summary = server.join();
+    assert_eq!(summary.protocol_errors, 1);
+    assert_eq!(summary.requests, summary.responses);
+}
+
+#[test]
 fn full_queue_yields_explicit_busy_and_order_is_preserved() {
     let mut cfg = small_config();
     cfg.workers = 1;

@@ -90,9 +90,24 @@ pub fn trace_op(op: &OpRef, object: u64, access: AccessClass) {
     kernel::kernel_trace(op.intern(), object, access);
 }
 
-/// Traces the begin and end events of `class::method` around `body`,
-/// classifying the begin event as `access`.
-fn traced_call<R>(
+/// Traces the begin and end events of a method call around `body`,
+/// classifying the begin event as `access`. The end op is interned only
+/// once `body` has run, keeping the process-wide intern order.
+pub(crate) fn traced_call<R>(
+    begin: OpId,
+    end: impl FnOnce() -> OpId,
+    object: u64,
+    access: AccessClass,
+    body: impl FnOnce() -> R,
+) -> R {
+    kernel::kernel_trace(begin, object, access);
+    let r = body();
+    kernel::kernel_trace(end(), object, AccessClass::None);
+    r
+}
+
+/// [`traced_call`] of `class::method`, interning its ops on every call.
+fn traced_method<R>(
     kind: MethodKind,
     class: &str,
     method: &str,
@@ -100,19 +115,20 @@ fn traced_call<R>(
     access: AccessClass,
     body: impl FnOnce() -> R,
 ) -> R {
-    let begin = OpId::intern(OpKind::MethodBegin(kind), class, method);
-    kernel::kernel_trace(begin, object, access);
-    let r = body();
-    let end = OpId::intern(OpKind::MethodEnd(kind), class, method);
-    kernel::kernel_trace(end, object, AccessClass::None);
-    r
+    traced_call(
+        OpId::intern(OpKind::MethodBegin(kind), class, method),
+        || OpId::intern(OpKind::MethodEnd(kind), class, method),
+        object,
+        access,
+        body,
+    )
 }
 
 /// Traces entry and exit of an *application* method around `body`
 /// (paper §4.1: "For application methods, SherLock instruments entry and
 /// exit points of their implementations").
 pub fn app_method<R>(class: &str, method: &str, object: u64, body: impl FnOnce() -> R) -> R {
-    traced_call(
+    traced_method(
         MethodKind::App,
         class,
         method,
@@ -126,7 +142,7 @@ pub fn app_method<R>(class: &str, method: &str, object: u64, body: impl FnOnce()
 /// or system API calls, SherLock instruments immediately before and after
 /// the call sites").
 pub fn lib_call<R>(class: &str, method: &str, object: u64, body: impl FnOnce() -> R) -> R {
-    traced_call(
+    traced_method(
         MethodKind::Lib,
         class,
         method,
@@ -146,5 +162,5 @@ pub fn lib_call_classified<R>(
     access: AccessClass,
     body: impl FnOnce() -> R,
 ) -> R {
-    traced_call(MethodKind::Lib, class, method, object, access, body)
+    traced_method(MethodKind::Lib, class, method, object, access, body)
 }

@@ -2,24 +2,29 @@
 //!
 //! Every simulated thread runs in isolation: exactly one executes at any
 //! instant. The scheduler hands a single "go" token to one runnable thread,
-//! which runs until its next traced operation (a *yield point*) and hands the
-//! token back. A seeded RNG picks the next runnable thread, so a run is a
-//! deterministic function of `(workload, SimConfig)` — the property the
-//! paper's wall-clock executions lack and the reason inference results here
-//! are exactly reproducible.
+//! which runs until its next traced operation (a *yield point*). A seeded RNG
+//! picks the next runnable thread, so a run is a deterministic function of
+//! `(workload, SimConfig)` — the property the paper's wall-clock executions
+//! lack and the reason inference results here are exactly reproducible.
 //!
-//! Two transports carry the token (see [`crate::config::SimBackend`]):
+//! One function, `decide`, makes every scheduling decision: it wakes due
+//! sleepers, collects the runnable set, runs the idle and deadlock checks,
+//! asks the [`Strategy`] to pick and counts context switches. Two transports
+//! carry the token (see [`crate::config::SimBackend`]):
 //!
 //! * **Fibers** (default on x86-64 unix): each simulated thread is a stackful
-//!   coroutine on the scheduler's own OS thread; the handoff is a ~20 ns
-//!   userspace stack swap (`crate::fiber`). This is what makes
-//!   campaign-scale exploration (millions of schedules) affordable.
+//!   coroutine on the scheduler's own OS thread (`crate::fiber`). A yield
+//!   point calls `decide` itself, under the kernel lock it already holds. If
+//!   the pick is the running thread, that thread simply continues; only a
+//!   pick of another thread (or the end of the run) suspends the fiber, and
+//!   the scheduler then carries out the decision the fiber left behind.
 //! * **OS threads** (fallback + differential oracle): each simulated thread
-//!   is a real OS thread parked on a channel; the handoff costs two OS
-//!   context switches.
+//!   is a real OS thread parked on a channel; every yield point hands the
+//!   token back to the scheduler loop, which calls `decide`. Each step costs
+//!   two OS context switches.
 //!
-//! The scheduler loop, RNG consumption, and trace emission are shared —
-//! byte-identical traces across transports are asserted by
+//! Both transports make the same decisions in the same order, so RNG
+//! consumption and trace emission agree byte for byte — asserted by
 //! `tests/backend_parity.rs`.
 
 use std::cell::{Cell, RefCell};
@@ -27,7 +32,7 @@ use std::cell::{Cell, RefCell};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use sherlock_obs::counter;
 use sherlock_trace::{AccessClass, IdMap, OpId, OpRef, ThreadId, Time, Trace, TraceBuilder};
@@ -99,6 +104,37 @@ pub(crate) struct KState {
     live_nondaemon: usize,
     /// Resolved once per run; `spawn_on` uses it to pick the transport.
     fibers: bool,
+    /// The runnable set, rebuilt by every [`decide`] (kept to reuse its
+    /// allocation).
+    runnable: Vec<u32>,
+    /// The thread the last decision picked, for context-switch counting.
+    last_run: Option<u32>,
+    /// The last virtual time at which a non-daemon thread was runnable or
+    /// sleeping; the idle-timeout check measures from here.
+    last_nondaemon_activity: Time,
+    /// A decision made by a yielding fiber, left for the scheduler to carry
+    /// out.
+    pending: Option<Act>,
+    /// Whether fiber yield points decide the next step themselves. Cleared
+    /// when the scheduler loop ends, so a thread that yields while being
+    /// aborted always returns to the scheduler.
+    deciding: bool,
+    /// Yields that handed the token back to the scheduler.
+    handoffs: u64,
+}
+
+/// What the scheduler does next.
+enum Act {
+    /// Hand the go token to this thread.
+    Run(u32),
+    /// Nothing is runnable: move the clock to the earliest wake-up.
+    AdvanceTo(Time),
+    /// Every non-daemon thread has finished.
+    Done,
+    /// No non-daemon thread can make progress; these are blocked.
+    Deadlock(Vec<ThreadId>),
+    /// The run has used up [`SimConfig::max_steps`].
+    StepLimit,
 }
 
 /// What the Observer does with every dynamic instance of one static
@@ -161,10 +197,16 @@ pub(crate) fn in_sim_context() -> bool {
 }
 
 impl Ctx {
-    /// Hands the token back to the scheduler and parks until re-scheduled.
-    fn yield_to_scheduler(&self) {
+    /// Ends the current step at a yield point; `st` is the kernel lock the
+    /// yield point holds. A fiber decides the next step itself: when the
+    /// pick is this thread again it continues without a switch, otherwise it
+    /// leaves the decision in [`KState::pending`] and suspends. An OS-backed
+    /// thread hands the token back and parks until re-scheduled.
+    fn yield_to_scheduler(&self, mut st: MutexGuard<'_, KState>) {
         match &self.kind {
             CtxKind::Os { go_rx } => {
+                st.handoffs += 1;
+                drop(st);
                 self.kernel
                     .to_sched
                     .send(self.tid.get())
@@ -175,6 +217,19 @@ impl Ctx {
                 }
             }
             CtxKind::Fiber => {
+                if st.deciding {
+                    let me = self.tid.get();
+                    let act = loop {
+                        match decide(&mut st) {
+                            Act::AdvanceTo(t) => st.clock = st.clock.max(t),
+                            Act::Run(tid) if tid == me => return,
+                            act => break act,
+                        }
+                    };
+                    st.pending = Some(act);
+                }
+                st.handoffs += 1;
+                drop(st);
                 if fiber::suspend(self.tid.get() as usize) == fiber::MSG_ABORT {
                     resume_unwind(Box::new(AbortToken));
                 }
@@ -321,6 +376,12 @@ impl Sim {
                 panics: Vec::new(),
                 live_nondaemon: 0,
                 fibers,
+                runnable: Vec::new(),
+                last_run: None,
+                last_nondaemon_activity: Time::ZERO,
+                pending: None,
+                deciding: true,
+                handoffs: 0,
                 config: self.config,
             }),
             to_sched,
@@ -336,94 +397,29 @@ impl Sim {
         });
         spawn_on(&kernel, "root", false, root);
 
-        let mut outcome = Outcome::Completed;
-        let mut last_nondaemon_activity = Time::ZERO;
-        let mut last_run: Option<u32> = None;
-        // Reused across steps: the scheduler allocates nothing per step.
-        let mut runnable: Vec<u32> = Vec::new();
-        loop {
-            enum Act {
-                Run(u32, Via),
-                AdvanceTo(Time),
-                Done,
-                Deadlock(Vec<ThreadId>),
-                StepLimit,
-            }
-            let act = {
-                let mut st = kernel.state.lock().expect("kernel state poisoned");
-                if st.live_nondaemon == 0 {
-                    Act::Done
-                } else if st.steps >= st.config.max_steps {
-                    Act::StepLimit
-                } else {
-                    // One pass wakes due sleepers and collects the runnable
-                    // set and the earliest remaining wake-up.
-                    let clock = st.clock;
-                    let mut nondaemon_live = false;
-                    let mut wake: Option<Time> = None;
-                    runnable.clear();
-                    for (i, slot) in st.threads.iter_mut().enumerate() {
-                        if let ThreadState::Sleeping(until) = slot.state {
-                            if until <= clock {
-                                slot.state = ThreadState::Runnable;
-                            } else {
-                                wake = Some(wake.map_or(until, |w| w.min(until)));
-                            }
-                        }
-                        match slot.state {
-                            ThreadState::Runnable => {
-                                runnable.push(i as u32);
-                                nondaemon_live |= !slot.daemon;
-                            }
-                            ThreadState::Sleeping(_) => nondaemon_live |= !slot.daemon,
-                            ThreadState::Blocked | ThreadState::Finished => {}
-                        }
-                    }
-                    if nondaemon_live {
-                        last_nondaemon_activity = clock;
-                    }
-                    if !nondaemon_live
-                        && clock.saturating_sub(last_nondaemon_activity) > st.config.idle_timeout
-                    {
-                        Act::Deadlock(blocked_nondaemons(&st))
-                    } else if runnable.is_empty() {
-                        match wake {
-                            Some(t) => Act::AdvanceTo(t),
-                            None => Act::Deadlock(blocked_nondaemons(&st)),
-                        }
-                    } else {
-                        // Split borrows: the strategy and the kernel RNG
-                        // live side by side in KState.
-                        let st = &mut *st;
-                        let idx = st.strategy.pick(&runnable, st.steps, &mut st.rng);
-                        let tid = runnable[idx];
-                        if last_run != Some(tid) {
-                            st.context_switches += 1;
-                            last_run = Some(tid);
-                        }
-                        Act::Run(tid, take_transport(st, tid))
-                    }
-                }
+        // One critical section per handoff: carry out the decision a
+        // yielding fiber left behind (or make it), take the next thread's
+        // transport, and on its return put the transport back.
+        let mut st = kernel.state.lock().expect("kernel state poisoned");
+        let outcome = loop {
+            let act = match st.pending.take() {
+                Some(act) => act,
+                None => decide(&mut st),
             };
             match act {
-                Act::Run(tid, via) => {
-                    dispatch(&kernel, &sched_rx, fiber_ctx.as_ref(), tid, via, GoMsg::Run);
+                Act::Run(tid) => {
+                    let via = take_transport(&mut st, tid);
+                    drop(st);
+                    st = dispatch(&kernel, &sched_rx, fiber_ctx.as_ref(), tid, via, GoMsg::Run);
                 }
-                Act::AdvanceTo(t) => {
-                    let mut st = kernel.state.lock().expect("kernel state poisoned");
-                    st.clock = st.clock.max(t);
-                }
-                Act::Done => break,
-                Act::Deadlock(b) => {
-                    outcome = Outcome::Deadlock(b);
-                    break;
-                }
-                Act::StepLimit => {
-                    outcome = Outcome::StepLimit;
-                    break;
-                }
+                Act::AdvanceTo(t) => st.clock = st.clock.max(t),
+                Act::Done => break Outcome::Completed,
+                Act::Deadlock(blocked) => break Outcome::Deadlock(blocked),
+                Act::StepLimit => break Outcome::StepLimit,
             }
-        }
+        };
+        st.deciding = false;
+        drop(st);
 
         abort_all(&kernel, &sched_rx, fiber_ctx.as_ref());
 
@@ -451,6 +447,7 @@ impl Sim {
         counter!("kernel.steps").add(st.steps);
         counter!("kernel.context_switches").add(st.context_switches);
         counter!("kernel.events_traced").add(st.events_traced);
+        counter!("kernel.handoffs").add(st.handoffs);
         counter!("kernel.runs").add(1);
         if fibers {
             counter!("kernel.fiber_runs").add(1);
@@ -464,6 +461,62 @@ impl Sim {
             thread_names: st.threads.iter().map(|s| s.name.clone()).collect(),
         }
     }
+}
+
+/// The next scheduling decision: wakes due sleepers, collects the runnable
+/// set, runs the idle-timeout and deadlock checks, lets the strategy pick and
+/// counts a context switch when the pick changes threads. Every decision of
+/// a run, on either transport, goes through here under the kernel lock.
+fn decide(st: &mut KState) -> Act {
+    if st.live_nondaemon == 0 {
+        return Act::Done;
+    }
+    if st.steps >= st.config.max_steps {
+        return Act::StepLimit;
+    }
+    // One pass wakes due sleepers and collects the runnable set and the
+    // earliest remaining wake-up.
+    let clock = st.clock;
+    let mut nondaemon_live = false;
+    let mut wake: Option<Time> = None;
+    st.runnable.clear();
+    for (i, slot) in st.threads.iter_mut().enumerate() {
+        if let ThreadState::Sleeping(until) = slot.state {
+            if until <= clock {
+                slot.state = ThreadState::Runnable;
+            } else {
+                wake = Some(wake.map_or(until, |w| w.min(until)));
+            }
+        }
+        match slot.state {
+            ThreadState::Runnable => {
+                st.runnable.push(i as u32);
+                nondaemon_live |= !slot.daemon;
+            }
+            ThreadState::Sleeping(_) => nondaemon_live |= !slot.daemon,
+            ThreadState::Blocked | ThreadState::Finished => {}
+        }
+    }
+    if nondaemon_live {
+        st.last_nondaemon_activity = clock;
+    }
+    if !nondaemon_live && clock.saturating_sub(st.last_nondaemon_activity) > st.config.idle_timeout
+    {
+        return Act::Deadlock(blocked_nondaemons(st));
+    }
+    if st.runnable.is_empty() {
+        return match wake {
+            Some(t) => Act::AdvanceTo(t),
+            None => Act::Deadlock(blocked_nondaemons(st)),
+        };
+    }
+    let idx = st.strategy.pick(&st.runnable, st.steps, &mut st.rng);
+    let tid = st.runnable[idx];
+    if st.last_run != Some(tid) {
+        st.context_switches += 1;
+        st.last_run = Some(tid);
+    }
+    Act::Run(tid)
 }
 
 /// Non-daemon threads that are blocked, for a deadlock report.
@@ -493,19 +546,22 @@ fn take_transport(st: &mut KState, tid: u32) -> Via {
 
 /// Delivers one go token to `tid` and waits for the thread to hand it back
 /// (by yielding or finishing). The kernel lock is *not* held across the
-/// handoff — the target immediately re-enters kernel services.
-fn dispatch(
-    kernel: &Arc<Kernel>,
+/// handoff — the target immediately re-enters kernel services. Returns the
+/// kernel lock, re-taken once the token is back, with a fiber's transport
+/// returned to its slot.
+fn dispatch<'k>(
+    kernel: &'k Kernel,
     sched_rx: &Receiver<u32>,
     fiber_ctx: Option<&Rc<Ctx>>,
     tid: u32,
     via: Via,
     msg: GoMsg,
-) {
+) -> MutexGuard<'k, KState> {
     match via {
         Via::Os(go) => {
             go.send(msg).expect("sim thread channel closed");
             sched_rx.recv().expect("all sim threads vanished");
+            kernel.state.lock().expect("kernel state poisoned")
         }
         Via::Fiber(mut f) => {
             let ctx = fiber_ctx.expect("fiber transport without a fiber ctx");
@@ -517,43 +573,26 @@ fn dispatch(
             CURRENT.with(|c| *c.borrow_mut() = prev);
             let mut st = kernel.state.lock().expect("kernel state poisoned");
             st.threads[tid as usize].transport = Transport::Fiber(Some(f));
+            st
         }
     }
 }
 
-fn abort_all(kernel: &Arc<Kernel>, sched_rx: &Receiver<u32>, fiber_ctx: Option<&Rc<Ctx>>) {
-    if fiber_ctx.is_some() {
-        // Resume each unfinished fiber with the abort token until its stack
-        // has fully unwound (a destructor that yields is re-aborted).
-        loop {
-            let next = {
-                let mut st = kernel.state.lock().expect("kernel state poisoned");
-                st.threads
-                    .iter()
-                    .position(|s| s.state != ThreadState::Finished)
-                    .map(|i| (i as u32, take_transport(&mut st, i as u32)))
-            };
-            let Some((tid, via)) = next else { break };
-            dispatch(kernel, sched_rx, fiber_ctx, tid, via, GoMsg::Abort);
-        }
-        return;
-    }
-    let pending: Vec<Sender<GoMsg>> = {
-        let st = kernel.state.lock().expect("kernel state poisoned");
-        st.threads
-            .iter()
-            .filter(|s| s.state != ThreadState::Finished)
-            .filter_map(|s| match &s.transport {
-                Transport::Os { go, .. } => Some(go.clone()),
-                Transport::Fiber(_) => None,
-            })
-            .collect()
-    };
-    for go in &pending {
-        let _ = go.send(GoMsg::Abort);
-    }
-    for _ in &pending {
-        let _ = sched_rx.recv();
+/// Resumes each unfinished thread with the abort token until its stack has
+/// fully unwound, one thread at a time on either transport. A thread that
+/// yields while unwinding (a destructor that traces) comes back here and is
+/// aborted again.
+fn abort_all(kernel: &Kernel, sched_rx: &Receiver<u32>, fiber_ctx: Option<&Rc<Ctx>>) {
+    let mut st = kernel.state.lock().expect("kernel state poisoned");
+    while let Some(i) = st
+        .threads
+        .iter()
+        .position(|s| s.state != ThreadState::Finished)
+    {
+        let tid = i as u32;
+        let via = take_transport(&mut st, tid);
+        drop(st);
+        st = dispatch(kernel, sched_rx, fiber_ctx, tid, via, GoMsg::Abort);
     }
 }
 
@@ -779,24 +818,20 @@ pub(crate) fn kernel_spawn(name: &str, daemon: bool, f: impl FnOnce() + Send + '
 /// An untraced scheduling step: advances the clock and yields.
 pub(crate) fn kernel_step() {
     with_ctx(|ctx| {
-        {
-            let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
-            st.advance_clock();
-        }
-        ctx.yield_to_scheduler();
+        let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
+        st.advance_clock();
+        ctx.yield_to_scheduler(st);
     })
 }
 
 /// Puts the current thread to sleep for `d` of virtual time.
 pub(crate) fn kernel_sleep(d: Time) {
     with_ctx(|ctx| {
-        {
-            let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
-            st.advance_clock();
-            let until = st.clock.saturating_add(d);
-            st.threads[ctx.tid.get() as usize].state = ThreadState::Sleeping(until);
-        }
-        ctx.yield_to_scheduler();
+        let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
+        st.advance_clock();
+        let until = st.clock.saturating_add(d);
+        st.threads[ctx.tid.get() as usize].state = ThreadState::Sleeping(until);
+        ctx.yield_to_scheduler(st);
     })
 }
 
@@ -806,12 +841,10 @@ pub(crate) fn kernel_sleep(d: Time) {
 /// this without any lost-wakeup race: no other thread runs in between.
 pub(crate) fn kernel_block_current() {
     with_ctx(|ctx| {
-        {
-            let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
-            st.advance_clock();
-            st.threads[ctx.tid.get() as usize].state = ThreadState::Blocked;
-        }
-        ctx.yield_to_scheduler();
+        let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
+        st.advance_clock();
+        st.threads[ctx.tid.get() as usize].state = ThreadState::Blocked;
+        ctx.yield_to_scheduler(st);
     })
 }
 
@@ -842,19 +875,15 @@ pub(crate) fn kernel_is_finished(tid: u32) -> bool {
 /// Blocks the current thread until `target` finishes.
 pub(crate) fn kernel_join(target: u32) {
     with_ctx(|ctx| loop {
-        let done = {
-            let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
-            st.advance_clock();
-            if st.threads[target as usize].state == ThreadState::Finished {
-                true
-            } else {
-                let me = ctx.tid.get();
-                st.threads[target as usize].join_waiters.push(me);
-                st.threads[me as usize].state = ThreadState::Blocked;
-                false
-            }
-        };
-        ctx.yield_to_scheduler();
+        let mut st = ctx.kernel.state.lock().expect("kernel state poisoned");
+        st.advance_clock();
+        let done = st.threads[target as usize].state == ThreadState::Finished;
+        if !done {
+            let me = ctx.tid.get();
+            st.threads[target as usize].join_waiters.push(me);
+            st.threads[me as usize].state = ThreadState::Blocked;
+        }
+        ctx.yield_to_scheduler(st);
         if done {
             return;
         }
@@ -893,7 +922,8 @@ impl KState {
 
 /// The Observer hook: applies the instrumentation filter and delay plan,
 /// advances the clock, emits the event, and yields. Without a delay this
-/// takes the kernel lock once.
+/// takes the kernel lock once, and on the fiber transport a step that
+/// re-picks this thread takes no other.
 ///
 /// Skipped methods still execute and consume a step — they are merely
 /// invisible to the trace, exactly like methods the paper's heuristics
@@ -905,8 +935,7 @@ pub(crate) fn kernel_trace(op: OpId, object: u64, access: AccessClass) {
         let plan = st.plan(op);
         if plan.skipped {
             st.advance_clock();
-            drop(st);
-            ctx.yield_to_scheduler();
+            ctx.yield_to_scheduler(st);
             return;
         }
         let access = if plan.unclassified {
@@ -921,8 +950,7 @@ pub(crate) fn kernel_trace(op: OpId, object: u64, access: AccessClass) {
                 delay_start = Some(st.clock);
                 let until = st.clock.saturating_add(d);
                 st.threads[tid as usize].state = ThreadState::Sleeping(until);
-                drop(st);
-                ctx.yield_to_scheduler();
+                ctx.yield_to_scheduler(st);
                 st = ctx.kernel.state.lock().expect("kernel state poisoned");
             }
         }
@@ -939,7 +967,6 @@ pub(crate) fn kernel_trace(op: OpId, object: u64, access: AccessClass) {
         }
         st.events_traced += 1;
         st.trace.push_classified(t, tid, op, object, access);
-        drop(st);
-        ctx.yield_to_scheduler();
+        ctx.yield_to_scheduler(st);
     })
 }

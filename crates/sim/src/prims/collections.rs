@@ -51,7 +51,7 @@ impl<K: Eq + Hash + Clone + Send + 'static, V: Clone + Send + 'static> Concurren
     /// `class::delegate` to produce it if absent. Delegates from concurrent
     /// calls are mutually exclusive (via an internal, untraced latch).
     pub fn get_or_add(&self, key: K, class: &str, delegate: &str, f: impl FnOnce() -> V) -> V {
-        api::lib_call(CM_CLASS, "GetOrAdd", self.inner.object, || {
+        prim_op!(CM_CLASS, "GetOrAdd").call(self.inner.object, || {
             let me = api::current_thread();
             // Enter the internal atomic region.
             loop {
@@ -142,37 +142,27 @@ impl<T: Clone + Send + 'static> UnsafeList<T> {
 
     /// `List.Add` — a write-like call site.
     pub fn add(&self, v: T) {
-        api::lib_call_classified(LIST_CLASS, "Add", self.object, AccessClass::Write, || {
+        prim_op!(LIST_CLASS, "Add").call_classified(self.object, AccessClass::Write, || {
             self.items.lock().expect("list poisoned").push(v);
         });
     }
 
     /// `List.get_Item` — a read-like call site.
     pub fn get(&self, index: usize) -> Option<T> {
-        api::lib_call_classified(
-            LIST_CLASS,
-            "get_Item",
-            self.object,
-            AccessClass::Read,
-            || {
-                self.items
-                    .lock()
-                    .expect("list poisoned")
-                    .get(index)
-                    .cloned()
-            },
-        )
+        prim_op!(LIST_CLASS, "get_Item").call_classified(self.object, AccessClass::Read, || {
+            self.items
+                .lock()
+                .expect("list poisoned")
+                .get(index)
+                .cloned()
+        })
     }
 
     /// `List.get_Count` — a read-like call site.
     pub fn len(&self) -> usize {
-        api::lib_call_classified(
-            LIST_CLASS,
-            "get_Count",
-            self.object,
-            AccessClass::Read,
-            || self.items.lock().expect("list poisoned").len(),
-        )
+        prim_op!(LIST_CLASS, "get_Count").call_classified(self.object, AccessClass::Read, || {
+            self.items.lock().expect("list poisoned").len()
+        })
     }
 
     /// Whether the list is empty (read-like call site).
@@ -182,7 +172,7 @@ impl<T: Clone + Send + 'static> UnsafeList<T> {
 
     /// `List.Clear` — a write-like call site.
     pub fn clear(&self) {
-        api::lib_call_classified(LIST_CLASS, "Clear", self.object, AccessClass::Write, || {
+        prim_op!(LIST_CLASS, "Clear").call_classified(self.object, AccessClass::Write, || {
             self.items.lock().expect("list poisoned").clear();
         });
     }

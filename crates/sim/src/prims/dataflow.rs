@@ -83,7 +83,7 @@ impl<T: Send + 'static> DataflowBlock<T> {
 
     /// Posts an item to the block (`DataflowBlock.Post`).
     pub fn post(&self, item: T) {
-        api::lib_call(CLASS, "Post", self.inner.object, || {
+        prim_op!(CLASS, "Post").call(self.inner.object, || {
             let waiters = {
                 let mut s = self.inner.state.lock().expect("dataflow poisoned");
                 s.input.push_back(item);
@@ -97,7 +97,7 @@ impl<T: Send + 'static> DataflowBlock<T> {
 
     /// Blocks for the next handler output (`DataflowBlock.Receive`).
     pub fn receive(&self) -> T {
-        api::lib_call(CLASS, "Receive", self.inner.object, || {
+        prim_op!(CLASS, "Receive").call(self.inner.object, || {
             let me = api::current_thread();
             loop {
                 let taken = {

@@ -58,7 +58,7 @@ impl ImplicitMonitor {
     /// guarded cell (`ImplicitMonitor.EnterWhen`). Blocks otherwise; every
     /// `Exit` re-evaluates the predicate (implicit broadcast signalling).
     pub fn enter_when(&self, pred: impl Fn(u64) -> bool) {
-        api::lib_call(CLASS, "EnterWhen", self.inner.object, || {
+        prim_op!(CLASS, "EnterWhen").call(self.inner.object, || {
             let me = api::current_thread();
             loop {
                 {
@@ -81,7 +81,7 @@ impl ImplicitMonitor {
     /// so each re-evaluates its predicate — the runtime, not the
     /// programmer, decides who proceeds.
     pub fn exit(&self) {
-        api::lib_call(CLASS, "Exit", self.inner.object, || {
+        prim_op!(CLASS, "Exit").call(self.inner.object, || {
             let waiters = {
                 let mut s = self.inner.state.lock().expect("implicit monitor poisoned");
                 assert_eq!(

@@ -46,7 +46,7 @@ impl Monitor {
 
     /// Acquires the monitor, blocking while another thread holds it.
     pub fn enter(&self) {
-        api::lib_call(CLASS, "Enter", self.inner.object, || {
+        prim_op!(CLASS, "Enter").call(self.inner.object, || {
             let me = api::current_thread();
             loop {
                 let acquired = {
@@ -81,7 +81,7 @@ impl Monitor {
     ///
     /// Panics if the calling thread does not hold the monitor.
     pub fn exit(&self) {
-        api::lib_call(CLASS, "Exit", self.inner.object, || {
+        prim_op!(CLASS, "Exit").call(self.inner.object, || {
             let me = api::current_thread();
             let to_wake = {
                 let mut s = self.inner.state.lock().expect("monitor poisoned");
@@ -107,7 +107,7 @@ impl Monitor {
     ///
     /// Panics if the calling thread does not hold the monitor.
     pub fn wait(&self) {
-        api::lib_call(CLASS, "Wait", self.inner.object, || {
+        prim_op!(CLASS, "Wait").call(self.inner.object, || {
             let me = api::current_thread();
             let (depth, to_wake) = {
                 let mut s = self.inner.state.lock().expect("monitor poisoned");
@@ -158,7 +158,7 @@ impl Monitor {
     ///
     /// Panics if the calling thread does not hold the monitor.
     pub fn pulse(&self) {
-        api::lib_call(CLASS, "Pulse", self.inner.object, || {
+        prim_op!(CLASS, "Pulse").call(self.inner.object, || {
             let woken = {
                 let mut s = self.inner.state.lock().expect("monitor poisoned");
                 assert_eq!(
@@ -186,7 +186,7 @@ impl Monitor {
     ///
     /// Panics if the calling thread does not hold the monitor.
     pub fn pulse_all(&self) {
-        api::lib_call(CLASS, "PulseAll", self.inner.object, || {
+        prim_op!(CLASS, "PulseAll").call(self.inner.object, || {
             let woken = {
                 let mut s = self.inner.state.lock().expect("monitor poisoned");
                 assert_eq!(

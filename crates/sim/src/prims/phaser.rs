@@ -56,7 +56,7 @@ impl Phaser {
     /// Registers an additional party (`Phaser.Register`); returns the phase
     /// the new party joins at.
     pub fn register(&self) -> u64 {
-        api::lib_call(CLASS, "Register", self.inner.object, || {
+        prim_op!(CLASS, "Register").call(self.inner.object, || {
             let mut s = self.inner.state.lock().expect("phaser poisoned");
             s.parties += 1;
             s.phase
@@ -67,15 +67,13 @@ impl Phaser {
     /// returns the phase number this arrival belongs to. The last party to
     /// arrive advances the phase and wakes every `await_advance` waiter.
     pub fn arrive(&self) -> u64 {
-        api::lib_call(CLASS, "Arrive", self.inner.object, || {
-            self.arrive_untraced()
-        })
+        prim_op!(CLASS, "Arrive").call(self.inner.object, || self.arrive_untraced())
     }
 
     /// Blocks until the phaser's phase number exceeds `phase`
     /// (`Phaser.AwaitAdvance`). Returns immediately if it already has.
     pub fn await_advance(&self, phase: u64) {
-        api::lib_call(CLASS, "AwaitAdvance", self.inner.object, || {
+        prim_op!(CLASS, "AwaitAdvance").call(self.inner.object, || {
             self.await_untraced(phase);
         });
     }
@@ -84,7 +82,7 @@ impl Phaser {
     /// (`Phaser.ArriveAndAwaitAdvance`) — the symmetric barrier-style call,
     /// traced as a single operation.
     pub fn arrive_and_await_advance(&self) -> u64 {
-        api::lib_call(CLASS, "ArriveAndAwaitAdvance", self.inner.object, || {
+        prim_op!(CLASS, "ArriveAndAwaitAdvance").call(self.inner.object, || {
             let phase = self.arrive_untraced();
             self.await_untraced(phase);
             phase

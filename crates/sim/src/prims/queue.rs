@@ -54,7 +54,7 @@ impl<T: Send + 'static> BlockingCollection<T> {
     ///
     /// Panics if called after [`BlockingCollection::complete_adding`].
     pub fn add(&self, item: T) {
-        api::lib_call(CLASS, "Add", self.inner.object, || {
+        prim_op!(CLASS, "Add").call(self.inner.object, || {
             let me = api::current_thread();
             let mut item = Some(item);
             loop {
@@ -84,7 +84,7 @@ impl<T: Send + 'static> BlockingCollection<T> {
     /// (`BlockingCollection.Take`). Returns `None` once the collection is
     /// completed and drained.
     pub fn take(&self) -> Option<T> {
-        api::lib_call(CLASS, "Take", self.inner.object, || {
+        prim_op!(CLASS, "Take").call(self.inner.object, || {
             let me = api::current_thread();
             loop {
                 let (result, waiters) = {
@@ -113,7 +113,7 @@ impl<T: Send + 'static> BlockingCollection<T> {
     /// pending and future `Take`s drain the remaining items then return
     /// `None`.
     pub fn complete_adding(&self) {
-        api::lib_call(CLASS, "CompleteAdding", self.inner.object, || {
+        prim_op!(CLASS, "CompleteAdding").call(self.inner.object, || {
             let waiters = {
                 let mut s = self.inner.state.lock().expect("collection poisoned");
                 s.completed = true;
@@ -163,9 +163,7 @@ impl Interlocked {
 
     /// `Interlocked.Increment` — atomic, traced, write-classified.
     pub fn increment(&self) -> i64 {
-        api::lib_call_classified(
-            INTERLOCKED,
-            "Increment",
+        prim_op!(INTERLOCKED, "Increment").call_classified(
             self.object,
             sherlock_trace::AccessClass::Write,
             || {
@@ -178,9 +176,7 @@ impl Interlocked {
 
     /// `Interlocked.Exchange` — atomic swap.
     pub fn exchange(&self, new: i64) -> i64 {
-        api::lib_call_classified(
-            INTERLOCKED,
-            "Exchange",
+        prim_op!(INTERLOCKED, "Exchange").call_classified(
             self.object,
             sherlock_trace::AccessClass::Write,
             || {
@@ -192,9 +188,7 @@ impl Interlocked {
 
     /// `Interlocked.Read` — atomic read, read-classified.
     pub fn read(&self) -> i64 {
-        api::lib_call_classified(
-            INTERLOCKED,
-            "Read",
+        prim_op!(INTERLOCKED, "Read").call_classified(
             self.object,
             sherlock_trace::AccessClass::Read,
             || *self.value.lock().expect("interlocked poisoned"),

@@ -37,45 +37,30 @@ impl EventWaitHandle {
 
     /// Signals the event (`EventWaitHandle.Set`), waking waiters.
     pub fn set(&self) {
-        api::lib_call(
-            "System.Threading.EventWaitHandle",
-            "Set",
-            self.inner.object,
-            || {
-                let waiters = {
-                    let mut s = self.inner.state.lock().expect("event poisoned");
-                    s.signaled = true;
-                    std::mem::take(&mut s.waiters)
-                };
-                for t in waiters {
-                    kernel::kernel_wake(t);
-                }
-            },
-        );
+        prim_op!("System.Threading.EventWaitHandle", "Set").call(self.inner.object, || {
+            let waiters = {
+                let mut s = self.inner.state.lock().expect("event poisoned");
+                s.signaled = true;
+                std::mem::take(&mut s.waiters)
+            };
+            for t in waiters {
+                kernel::kernel_wake(t);
+            }
+        });
     }
 
     /// Unsignals the event (`EventWaitHandle.Reset`).
     pub fn reset(&self) {
-        api::lib_call(
-            "System.Threading.EventWaitHandle",
-            "Reset",
-            self.inner.object,
-            || {
-                self.inner.state.lock().expect("event poisoned").signaled = false;
-            },
-        );
+        prim_op!("System.Threading.EventWaitHandle", "Reset").call(self.inner.object, || {
+            self.inner.state.lock().expect("event poisoned").signaled = false;
+        });
     }
 
     /// Blocks until the event is signaled (`WaitHandle.WaitOne`).
     pub fn wait_one(&self) {
-        api::lib_call(
-            "System.Threading.WaitHandle",
-            "WaitOne",
-            self.inner.object,
-            || {
-                self.block_untraced();
-            },
-        );
+        prim_op!("System.Threading.WaitHandle", "WaitOne").call(self.inner.object, || {
+            self.block_untraced();
+        });
     }
 
     /// Blocks until *all* the given events are signaled
@@ -83,7 +68,7 @@ impl EventWaitHandle {
     /// (Table 8, Radical).
     pub fn wait_all(handles: &[&EventWaitHandle]) {
         let object = handles.first().map_or(0, |h| h.inner.object);
-        api::lib_call("System.Threading.WaitHandle", "WaitAll", object, || {
+        prim_op!("System.Threading.WaitHandle", "WaitAll").call(object, || {
             for h in handles {
                 h.block_untraced();
             }
@@ -170,49 +155,39 @@ impl Semaphore {
 
     /// Releases `n` permits.
     pub fn release(&self, n: u32) {
-        api::lib_call(
-            "System.Threading.Semaphore",
-            "Release",
-            self.inner.object,
-            || {
-                let waiters = {
-                    let mut s = self.inner.state.lock().expect("semaphore poisoned");
-                    s.count += n;
-                    std::mem::take(&mut s.waiters)
-                };
-                for t in waiters {
-                    kernel::kernel_wake(t);
-                }
-            },
-        );
+        prim_op!("System.Threading.Semaphore", "Release").call(self.inner.object, || {
+            let waiters = {
+                let mut s = self.inner.state.lock().expect("semaphore poisoned");
+                s.count += n;
+                std::mem::take(&mut s.waiters)
+            };
+            for t in waiters {
+                kernel::kernel_wake(t);
+            }
+        });
     }
 
     /// Blocks until a permit is available, then takes it.
     pub fn wait_one(&self) {
-        api::lib_call(
-            "System.Threading.Semaphore",
-            "WaitOne",
-            self.inner.object,
-            || {
-                let me = api::current_thread();
-                loop {
-                    let ok = {
-                        let mut s = self.inner.state.lock().expect("semaphore poisoned");
-                        if s.count > 0 {
-                            s.count -= 1;
-                            true
-                        } else {
-                            s.waiters.push(me);
-                            false
-                        }
-                    };
-                    if ok {
-                        return;
+        prim_op!("System.Threading.Semaphore", "WaitOne").call(self.inner.object, || {
+            let me = api::current_thread();
+            loop {
+                let ok = {
+                    let mut s = self.inner.state.lock().expect("semaphore poisoned");
+                    if s.count > 0 {
+                        s.count -= 1;
+                        true
+                    } else {
+                        s.waiters.push(me);
+                        false
                     }
-                    kernel::kernel_block_current();
+                };
+                if ok {
+                    return;
                 }
-            },
-        );
+                kernel::kernel_block_current();
+            }
+        });
     }
 }
 
@@ -252,28 +227,28 @@ impl RwLock {
 
     /// Acquires a shared reader lock.
     pub fn acquire_reader_lock(&self) {
-        api::lib_call(RW_CLASS, "AcquireReaderLock", self.inner.object, || {
+        prim_op!(RW_CLASS, "AcquireReaderLock").call(self.inner.object, || {
             self.lock_reader_untraced();
         });
     }
 
     /// Releases the calling thread's reader lock.
     pub fn release_reader_lock(&self) {
-        api::lib_call(RW_CLASS, "ReleaseReaderLock", self.inner.object, || {
+        prim_op!(RW_CLASS, "ReleaseReaderLock").call(self.inner.object, || {
             self.unlock_reader_untraced();
         });
     }
 
     /// Acquires the exclusive writer lock.
     pub fn acquire_writer_lock(&self) {
-        api::lib_call(RW_CLASS, "AcquireWriterLock", self.inner.object, || {
+        prim_op!(RW_CLASS, "AcquireWriterLock").call(self.inner.object, || {
             self.lock_writer_untraced();
         });
     }
 
     /// Releases the writer lock.
     pub fn release_writer_lock(&self) {
-        api::lib_call(RW_CLASS, "ReleaseWriterLock", self.inner.object, || {
+        prim_op!(RW_CLASS, "ReleaseWriterLock").call(self.inner.object, || {
             self.unlock_writer_untraced();
         });
     }
@@ -282,7 +257,7 @@ impl RwLock {
     /// acquires the writer lock — *one* traced API performing both a release
     /// and an acquire.
     pub fn upgrade_to_writer_lock(&self) {
-        api::lib_call(RW_CLASS, "UpgradeToWriterLock", self.inner.object, || {
+        prim_op!(RW_CLASS, "UpgradeToWriterLock").call(self.inner.object, || {
             self.unlock_reader_untraced();
             self.lock_writer_untraced();
         });
@@ -290,15 +265,10 @@ impl RwLock {
 
     /// Downgrades the writer lock back to a reader lock.
     pub fn downgrade_from_writer_lock(&self) {
-        api::lib_call(
-            RW_CLASS,
-            "DowngradeFromWriterLock",
-            self.inner.object,
-            || {
-                self.unlock_writer_untraced();
-                self.lock_reader_untraced();
-            },
-        );
+        prim_op!(RW_CLASS, "DowngradeFromWriterLock").call(self.inner.object, || {
+            self.unlock_writer_untraced();
+            self.lock_reader_untraced();
+        });
     }
 
     fn lock_reader_untraced(&self) {
@@ -416,42 +386,37 @@ impl Barrier {
     /// Arrives at the barrier and blocks until the phase completes
     /// (`Barrier.SignalAndWait`). Returns the completed phase number.
     pub fn signal_and_wait(&self) -> u64 {
-        api::lib_call(
-            "System.Threading.Barrier",
-            "SignalAndWait",
-            self.inner.object,
-            || {
-                let me = api::current_thread();
-                let my_generation = {
-                    let mut s = self.inner.state.lock().expect("barrier poisoned");
-                    let gen = s.generation;
-                    s.arrived += 1;
-                    if s.arrived == self.inner.participants {
-                        s.arrived = 0;
-                        s.generation += 1;
-                        let waiters = std::mem::take(&mut s.waiters);
-                        drop(s);
-                        for t in waiters {
-                            kernel::kernel_wake(t);
-                        }
-                        return gen;
-                    }
-                    s.waiters.push(me);
-                    gen
-                };
-                loop {
-                    kernel::kernel_block_current();
-                    let s = self.inner.state.lock().expect("barrier poisoned");
-                    if s.generation > my_generation {
-                        return my_generation;
-                    }
-                    // Spurious wake: re-register.
+        prim_op!("System.Threading.Barrier", "SignalAndWait").call(self.inner.object, || {
+            let me = api::current_thread();
+            let my_generation = {
+                let mut s = self.inner.state.lock().expect("barrier poisoned");
+                let gen = s.generation;
+                s.arrived += 1;
+                if s.arrived == self.inner.participants {
+                    s.arrived = 0;
+                    s.generation += 1;
+                    let waiters = std::mem::take(&mut s.waiters);
                     drop(s);
-                    let mut s = self.inner.state.lock().expect("barrier poisoned");
-                    s.waiters.push(me);
+                    for t in waiters {
+                        kernel::kernel_wake(t);
+                    }
+                    return gen;
                 }
-            },
-        )
+                s.waiters.push(me);
+                gen
+            };
+            loop {
+                kernel::kernel_block_current();
+                let s = self.inner.state.lock().expect("barrier poisoned");
+                if s.generation > my_generation {
+                    return my_generation;
+                }
+                // Spurious wake: re-register.
+                drop(s);
+                let mut s = self.inner.state.lock().expect("barrier poisoned");
+                s.waiters.push(me);
+            }
+        })
     }
 }
 
@@ -491,54 +456,44 @@ impl CountdownEvent {
     /// Signals once (`CountdownEvent.Signal`), waking waiters when the count
     /// reaches zero. Returns `true` when this signal released the event.
     pub fn signal(&self) -> bool {
-        api::lib_call(
-            "System.Threading.CountdownEvent",
-            "Signal",
-            self.inner.object,
-            || {
-                let (zero, waiters) = {
-                    let mut s = self.inner.state.lock().expect("countdown poisoned");
-                    assert!(s.count > 0, "CountdownEvent signaled below zero");
-                    s.count -= 1;
-                    if s.count == 0 {
-                        (true, std::mem::take(&mut s.waiters))
-                    } else {
-                        (false, Vec::new())
-                    }
-                };
-                for t in waiters {
-                    kernel::kernel_wake(t);
+        prim_op!("System.Threading.CountdownEvent", "Signal").call(self.inner.object, || {
+            let (zero, waiters) = {
+                let mut s = self.inner.state.lock().expect("countdown poisoned");
+                assert!(s.count > 0, "CountdownEvent signaled below zero");
+                s.count -= 1;
+                if s.count == 0 {
+                    (true, std::mem::take(&mut s.waiters))
+                } else {
+                    (false, Vec::new())
                 }
-                zero
-            },
-        )
+            };
+            for t in waiters {
+                kernel::kernel_wake(t);
+            }
+            zero
+        })
     }
 
     /// Blocks until the count reaches zero (`CountdownEvent.Wait`).
     pub fn wait(&self) {
-        api::lib_call(
-            "System.Threading.CountdownEvent",
-            "Wait",
-            self.inner.object,
-            || {
-                let me = api::current_thread();
-                loop {
-                    let done = {
-                        let mut s = self.inner.state.lock().expect("countdown poisoned");
-                        if s.count == 0 {
-                            true
-                        } else {
-                            s.waiters.push(me);
-                            false
-                        }
-                    };
-                    if done {
-                        return;
+        prim_op!("System.Threading.CountdownEvent", "Wait").call(self.inner.object, || {
+            let me = api::current_thread();
+            loop {
+                let done = {
+                    let mut s = self.inner.state.lock().expect("countdown poisoned");
+                    if s.count == 0 {
+                        true
+                    } else {
+                        s.waiters.push(me);
+                        false
                     }
-                    kernel::kernel_block_current();
+                };
+                if done {
+                    return;
                 }
-            },
-        )
+                kernel::kernel_block_current();
+            }
+        })
     }
 
     /// Untraced current count (for assertions in tests).

@@ -1,5 +1,6 @@
 use std::sync::{Arc, Mutex};
 
+use super::PrimOp;
 use crate::api;
 use crate::kernel;
 
@@ -31,8 +32,7 @@ struct TaskState {
 
 impl Task {
     fn spawn_body(
-        api_class: &str,
-        api_method: &str,
+        api_op: &'static PrimOp,
         class: String,
         method: String,
         f: impl FnOnce() + Send + 'static,
@@ -43,7 +43,7 @@ impl Task {
             state: Mutex::new(TaskState::default()),
         });
         let inner2 = Arc::clone(&inner);
-        api::lib_call(api_class, api_method, object, || {
+        api_op.call(object, || {
             api::spawn(&format!("task:{class}.{method}"), move || {
                 api::app_method(&class, &method, object, f);
                 let waiters = {
@@ -65,7 +65,7 @@ impl Task {
         method: impl Into<String>,
         f: impl FnOnce() + Send + 'static,
     ) -> Task {
-        Task::spawn_body(CLASS, "Run", class.into(), method.into(), f)
+        Task::spawn_body(prim_op!(CLASS, "Run"), class.into(), method.into(), f)
     }
 
     /// `TaskFactory.StartNew(...)` — same semantics as [`Task::run`], traced
@@ -76,12 +76,17 @@ impl Task {
         method: impl Into<String>,
         f: impl FnOnce() + Send + 'static,
     ) -> Task {
-        Task::spawn_body(FACTORY, "StartNew", class.into(), method.into(), f)
+        Task::spawn_body(
+            prim_op!(FACTORY, "StartNew"),
+            class.into(),
+            method.into(),
+            f,
+        )
     }
 
     /// Blocks until the task's delegate returns (`Task.Wait`).
     pub fn wait(&self) {
-        api::lib_call(CLASS, "Wait", self.inner.object, || {
+        prim_op!(CLASS, "Wait").call(self.inner.object, || {
             self.block_until_done();
         });
     }
@@ -103,7 +108,7 @@ impl Task {
         });
         let cont2 = Arc::clone(&cont);
         let antecedent = self.clone();
-        api::lib_call(CLASS, "ContinueWith", self.inner.object, || {
+        prim_op!(CLASS, "ContinueWith").call(self.inner.object, || {
             api::spawn(&format!("cont:{class}.{method}"), move || {
                 // Framework-internal wait: untraced, like the scheduler
                 // machinery inside the TPL the paper cannot see.
@@ -157,8 +162,7 @@ impl ThreadPool {
         f: impl FnOnce() + Send + 'static,
     ) -> Task {
         Task::spawn_body(
-            "System.Threading.ThreadPool",
-            "QueueUserWorkItem",
+            prim_op!("System.Threading.ThreadPool", "QueueUserWorkItem"),
             class.into(),
             method.into(),
             f,

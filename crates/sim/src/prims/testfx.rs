@@ -20,7 +20,7 @@ const ASSERT_CLASS: &str = "Microsoft.VisualStudio.TestTools.UnitTesting.Assert"
 impl Assert {
     /// `Assert.IsTrue` — traced; panics (test failure) if `cond` is false.
     pub fn is_true(cond: bool, message: &str) {
-        api::lib_call(ASSERT_CLASS, "IsTrue", 0, || {
+        prim_op!(ASSERT_CLASS, "IsTrue").call(0, || {
             if !cond {
                 panic!("Assert.IsTrue failed: {message}");
             }
@@ -29,7 +29,7 @@ impl Assert {
 
     /// `Assert.IsFalse` — traced; panics (test failure) if `cond` is true.
     pub fn is_false(cond: bool, message: &str) {
-        api::lib_call(ASSERT_CLASS, "IsFalse", 0, || {
+        prim_op!(ASSERT_CLASS, "IsFalse").call(0, || {
             if cond {
                 panic!("Assert.IsFalse failed: {message}");
             }
@@ -38,7 +38,7 @@ impl Assert {
 
     /// `Assert.AreEqual` — traced equality check.
     pub fn are_equal<T: PartialEq + std::fmt::Debug>(a: T, b: T, message: &str) {
-        api::lib_call(ASSERT_CLASS, "AreEqual", 0, || {
+        prim_op!(ASSERT_CLASS, "AreEqual").call(0, || {
             if a != b {
                 panic!("Assert.AreEqual failed ({a:?} != {b:?}): {message}");
             }

@@ -25,7 +25,7 @@ impl SimThread {
         let class = class.into();
         let method = method.into();
         let object = api::alloc_object();
-        let handle = api::lib_call(CLASS, "Start", object, || {
+        let handle = prim_op!(CLASS, "Start").call(object, || {
             let name = format!("{class}.{method}");
             api::spawn(&name, move || {
                 api::app_method(&class, &method, object, f);
@@ -36,7 +36,7 @@ impl SimThread {
 
     /// Blocks until the thread's delegate returns (`Thread.Join`).
     pub fn join(&self) {
-        api::lib_call(CLASS, "Join", self.object, || self.handle.join());
+        prim_op!(CLASS, "Join").call(self.object, || self.handle.join());
     }
 
     /// Whether the delegate has returned.
